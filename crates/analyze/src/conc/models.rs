@@ -203,10 +203,11 @@ pub fn breaker_double_probe(cfg: Config) -> Result<Stats, Box<Violation>> {
     })
 }
 
-/// The bounded admission queue: a producer admits two connections via
-/// `try_send` (shedding on full, like `Server::accept_loop`) while a
-/// worker drains concurrently (like `worker_loop`); a `0` sentinel
-/// models shutdown. Invariants, in every schedule: the worker handles
+/// The bounded admission queue of `ams_serve::net`'s connection core,
+/// which both the server and the router run on: a producer admits two
+/// connections via `try_send` (shedding on full, like its
+/// `accept_loop`) while a worker drains concurrently (like its
+/// `worker_loop`); a `0` sentinel models shutdown. Invariants, in every schedule: the worker handles
 /// exactly the admitted connections, nothing is both shed and
 /// handled, and the protocol never deadlocks.
 pub fn shed_queue(cfg: Config) -> Result<Stats, Box<Violation>> {

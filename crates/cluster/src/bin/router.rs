@@ -24,7 +24,7 @@
 
 use ams_cluster::{Router, RouterConfig};
 use ams_serve::net::resolve;
-use ams_serve::{demo, ModelArtifact, ARTIFACT_MAGIC};
+use ams_serve::{demo, ModelArtifact};
 use std::net::SocketAddr;
 
 struct Args {
@@ -106,19 +106,13 @@ fn parse_args() -> Result<Args, String> {
             "--shards is required (e.g. --shards \"127.0.0.1:7878;127.0.0.1:7879\")".to_string()
         );
     }
-    // Sizing knobs came off the command line — clamp them so a typo'd
-    // count costs a warning-sized structure, not the number's worth of
-    // threads or preallocated queue slots.
-    args.workers = args.workers.clamp(1, MAX_WORKERS);
-    args.queue = args.queue.clamp(1, MAX_QUEUE);
+    // A typo'd `--max-batch` must cost a warning-sized envelope, not
+    // the number's worth of pre-sized slots. `--workers` and `--queue`
+    // are bounded by the connection core (`ams_serve::net`).
     args.max_batch = args.max_batch.clamp(1, MAX_MAX_BATCH);
     Ok(args)
 }
 
-/// Ceiling on `--workers`: one thread per worker.
-const MAX_WORKERS: usize = 1024;
-/// Ceiling on `--queue`: each slot holds a pending request.
-const MAX_QUEUE: usize = 1 << 16;
 /// Ceiling on `--max-batch`: rows fanned in per batched request.
 const MAX_MAX_BATCH: usize = 1 << 12;
 
@@ -149,16 +143,6 @@ fn parse_shards(spec: &str) -> Result<Vec<Vec<SocketAddr>>, String> {
     Ok(groups)
 }
 
-/// Load a plain-JSON or checksummed (`AMS-ART` framed) artifact file.
-fn load_artifact(path: &str) -> Result<ModelArtifact, String> {
-    let head = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if head.starts_with(ARTIFACT_MAGIC.as_bytes()) {
-        return ModelArtifact::read_file(std::path::Path::new(path));
-    }
-    let json = String::from_utf8(head).map_err(|e| format!("{path}: not UTF-8: {e}"))?;
-    ModelArtifact::from_json(&json)
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -175,7 +159,7 @@ fn main() {
         }
     };
     let artifact = match (&args.artifact, args.demo) {
-        (Some(path), _) => match load_artifact(path) {
+        (Some(path), _) => match ModelArtifact::load_file(std::path::Path::new(path)) {
             Ok(a) => Some(a),
             Err(e) => {
                 eprintln!("router: {path}: {e}");

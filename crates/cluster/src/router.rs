@@ -30,21 +30,15 @@
 use crate::hedge::hedge_read_timeout;
 use crate::metrics::RouterMetrics;
 use crate::shardmap::ShardMap;
-use ams_serve::net::{
-    backoff, read_line_bounded, BoundedLine, JsonlConn, Timeouts, MAX_LINE_BYTES,
-};
+use ams_serve::net::{backoff, JsonlConn, LineHandler, LineServer, Reply, Timeouts, READ_TICK};
 use ams_serve::{BreakerConfig, BreakerState, CircuitBreaker, Engine, ModelArtifact};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Read-timeout tick for client connections, so workers notice
-/// shutdown promptly (mirrors the shard server).
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// How long a client worker waits for a dispatcher's reply when the
 /// request carries no deadline: covers a full two-cycle failover sweep
@@ -64,7 +58,7 @@ const MAX_FANIN_HINT: usize = 1 << 20;
 pub struct RouterConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Client worker threads (min 1).
+    /// Client worker threads (clamped to `1..=net::MAX_WORKERS`).
     pub workers: usize,
     /// `shards[g]` is the replica address list of shard group `g`.
     /// Group ids are the indexes, hashed by the [`ShardMap`].
@@ -73,7 +67,8 @@ pub struct RouterConfig {
     /// degraded fallbacks; `None` still routes singles but answers
     /// `{"ok":false}` when a whole group is down.
     pub artifact: Option<ModelArtifact>,
-    /// Bounded admission queue for client connections (min 1).
+    /// Bounded admission queue for client connections (clamped to
+    /// `1..=net::MAX_QUEUE`).
     pub queue_capacity: usize,
     /// Bounded per-group dispatch queue (min 1).
     pub dispatch_queue: usize,
@@ -134,8 +129,9 @@ struct RouterShared {
     groups: Vec<Arc<GroupState>>,
     queues: Vec<SyncSender<Work>>,
     engine: Option<Arc<Engine>>,
-    metrics: Arc<RouterMetrics>,
-    shutdown: Arc<AtomicBool>,
+    metrics: RouterMetrics,
+    /// Stops the dispatchers and the prober.
+    shutdown: AtomicBool,
     upstream_timeouts: Timeouts,
     hedge_after_ms: u64,
     default_deadline_ms: u64,
@@ -161,11 +157,7 @@ pub(crate) enum Work {
 /// A running router; dropping it without [`Router::shutdown`] detaches
 /// the threads (they exit when the process does).
 pub struct Router {
-    local_addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    core: LineServer<RouterShared>,
     dispatchers: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
@@ -209,9 +201,6 @@ impl Router {
             })
             .collect();
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(RouterMetrics::new());
-
         let mut queues = Vec::with_capacity(groups.len());
         let mut dispatch_rxs = Vec::with_capacity(groups.len());
         for _ in &groups {
@@ -225,14 +214,25 @@ impl Router {
             groups: groups.clone(),
             queues,
             engine,
-            metrics: Arc::clone(&metrics),
-            shutdown: Arc::clone(&shutdown),
+            metrics: RouterMetrics::new(),
+            shutdown: AtomicBool::new(false),
             upstream_timeouts: config.upstream,
             hedge_after_ms: config.hedge_after_ms,
             default_deadline_ms: config.default_deadline_ms,
             max_batch: config.max_batch.max(1),
             batch_rotation: AtomicU64::new(0),
         });
+
+        // Bind first: a taken address fails before any thread exists.
+        // Lines the workers route before the dispatchers start wait in
+        // the bounded dispatch queues.
+        let core = LineServer::start(
+            &config.addr,
+            config.workers,
+            config.queue_capacity,
+            None,
+            Arc::clone(&shared),
+        )?;
 
         let dispatchers: Vec<JoinHandle<()>> = dispatch_rxs
             .into_iter()
@@ -244,76 +244,30 @@ impl Router {
             .collect();
 
         let prober = if config.probe_interval_ms > 0 {
-            let shared = Arc::clone(&shared);
             let interval = Duration::from_millis(config.probe_interval_ms);
             Some(std::thread::spawn(move || prober_loop(&shared, interval)))
         } else {
             None
         };
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-
-        // Bounded admission: beyond `queue_capacity` waiting
-        // connections the acceptor sheds with an explicit line.
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.queue_capacity.max(1));
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&conn_rx);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&rx, &shared))
-            })
-            .collect();
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => match conn_tx.try_send(s) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(s)) => {
-                                RouterMetrics::bump(&metrics.sheds);
-                                shed_connection(s);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        },
-                        Err(_) => continue,
-                    }
-                }
-            })
-        };
-
-        Ok(Self {
-            local_addr,
-            shared,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-            dispatchers,
-            prober,
-        })
+        Ok(Self { core, dispatchers, prober })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.core.local_addr()
     }
 
     /// The router's counters.
     pub fn metrics(&self) -> &RouterMetrics {
-        &self.shared.metrics
+        &self.core.handler().metrics
     }
 
     /// Breaker state per upstream, as `(group, addr, state)` — test
     /// and bench observability.
     pub fn upstream_states(&self) -> Vec<(u32, SocketAddr, BreakerState)> {
-        self.shared
+        self.core
+            .handler()
             .groups
             .iter()
             .flat_map(|g| g.upstreams.iter().map(|u| (g.id, u.addr, u.breaker.state())))
@@ -321,35 +275,18 @@ impl Router {
     }
 
     /// Stop accepting, drain workers and dispatchers, join everything.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection — connected
-        // then dropped, never read from, so only the connect is bounded.
-        // ams-lint: allow(no-connect-without-timeout) — write-less nudge, no read to time out
-        let _ = TcpStream::connect_timeout(&self.local_addr, READ_TICK);
-        if let Some(h) = self.acceptor.take() {
+    pub fn shutdown(self) {
+        // Dispatchers and the prober poll this flag on their READ_TICK
+        // receive/sleep ticks, so joining them is bounded by one tick.
+        self.core.handler().shutdown.store(true, Ordering::SeqCst);
+        self.core.shutdown();
+        for h in self.dispatchers {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Dispatchers and the prober poll the shutdown flag on their
-        // receive/sleep ticks, so joining is bounded by READ_TICK.
-        for h in self.dispatchers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
+        if let Some(h) = self.prober {
             let _ = h.join();
         }
     }
-}
-
-/// Refuse one connection with an explicit shed line, then close it.
-fn shed_connection(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.write_all(
-        b"{\"ok\":false,\"shed\":true,\"error\":\"router overloaded: connection shed\"}\n",
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -546,95 +483,18 @@ fn split_array_objects(resp: &str, marker: &str) -> Option<Vec<(usize, usize)>> 
 // Client-facing workers
 // ---------------------------------------------------------------------------
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<RouterShared>) {
-    loop {
-        let stream = {
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(_) => return,
-            };
-            match guard.recv_timeout(READ_TICK) {
-                Ok(s) => Some(s),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(stream) = stream {
-            handle_client(stream, shared);
-        }
-    }
-}
+impl LineHandler for RouterShared {
+    type Scratch = ();
 
-fn handle_client(stream: TcpStream, shared: &Arc<RouterShared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match read_client_line(&mut reader, &mut line, shared) {
-            ReadOutcome::Line => {}
-            ReadOutcome::Closed => return,
-            ReadOutcome::TooLarge => {
-                // Past the cap there is no line boundary to resync on:
-                // answer with a typed refusal and drop the connection.
-                let refusal = error_line(&format!("request line exceeded {MAX_LINE_BYTES} bytes"));
-                let _ = writer.write_all(refusal.as_bytes());
-                let _ = writer.write_all(b"\n");
-                let _ = writer.flush();
-                return;
-            }
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = handle_line(trimmed, shared);
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
-            return;
-        }
-    }
-}
+    const SHED_LINE: &'static [u8] =
+        b"{\"ok\":false,\"shed\":true,\"error\":\"router overloaded: connection shed\"}\n";
 
-enum ReadOutcome {
-    Line,
-    Closed,
-    /// The client streamed past [`MAX_LINE_BYTES`] without a newline.
-    TooLarge,
-}
+    fn handle(&self, _: &mut (), line: &str) -> Reply {
+        Reply::Line(handle_line(line, self))
+    }
 
-fn read_client_line<R: BufRead>(
-    reader: &mut R,
-    line: &mut String,
-    shared: &Arc<RouterShared>,
-) -> ReadOutcome {
-    loop {
-        match read_line_bounded(reader, line, MAX_LINE_BYTES) {
-            Ok(BoundedLine::Line(_)) => return ReadOutcome::Line,
-            Ok(BoundedLine::Closed) => return ReadOutcome::Closed,
-            Ok(BoundedLine::TooLarge) => return ReadOutcome::TooLarge,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Partial bytes stay in `line`; the next call resumes
-                // with the remaining budget.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Closed;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
+    fn on_shed(&self) {
+        RouterMetrics::bump(&self.metrics.sheds);
     }
 }
 
@@ -645,7 +505,7 @@ fn error_line(message: &str) -> String {
 }
 
 /// Route one request line to a typed response line (no newline).
-fn handle_line(line: &str, shared: &Arc<RouterShared>) -> String {
+fn handle_line(line: &str, shared: &RouterShared) -> String {
     RouterMetrics::bump(&shared.metrics.requests);
     match fast_request_type(line) {
         Some(ty) => dispatch_typed(ty, line, shared),
@@ -668,7 +528,7 @@ fn handle_line(line: &str, shared: &Arc<RouterShared>) -> String {
     }
 }
 
-fn dispatch_typed(ty: &str, line: &str, shared: &Arc<RouterShared>) -> String {
+fn dispatch_typed(ty: &str, line: &str, shared: &RouterShared) -> String {
     match ty {
         "predict" => route_single(line, shared),
         "slave_weights" => route_slave_weights(line, shared),
@@ -706,7 +566,7 @@ fn await_reply(rx: &Receiver<String>, deadline: Option<Instant>, shared: &Router
     }
 }
 
-fn route_single(line: &str, shared: &Arc<RouterShared>) -> String {
+fn route_single(line: &str, shared: &RouterShared) -> String {
     let Some(company) = fast_field_u64(line, "company") else {
         // Companies must be plain unsigned integers on the wire; the
         // full parser produces the authoritative error.
@@ -728,7 +588,7 @@ fn route_single(line: &str, shared: &Arc<RouterShared>) -> String {
     route_single_to(company, line, shared)
 }
 
-fn route_single_to(company: u64, line: &str, shared: &Arc<RouterShared>) -> String {
+fn route_single_to(company: u64, line: &str, shared: &RouterShared) -> String {
     let pos = shared.map.position_of(company);
     let deadline = request_deadline(line, shared);
     let (tx, rx) = mpsc::sync_channel::<String>(1);
@@ -744,7 +604,7 @@ fn route_single_to(company: u64, line: &str, shared: &Arc<RouterShared>) -> Stri
     }
 }
 
-fn route_slave_weights(line: &str, shared: &Arc<RouterShared>) -> String {
+fn route_slave_weights(line: &str, shared: &RouterShared) -> String {
     let Some(company) = fast_field_u64(line, "company") else {
         return error_line("missing `company`");
     };
@@ -766,7 +626,7 @@ fn route_slave_weights(line: &str, shared: &Arc<RouterShared>) -> String {
     }
 }
 
-fn route_batch(line: &str, shared: &Arc<RouterShared>) -> String {
+fn route_batch(line: &str, shared: &RouterShared) -> String {
     if !balanced_object(line) {
         return error_line("request must be a single JSON object");
     }
@@ -978,7 +838,7 @@ fn fmt_num(p: f64) -> String {
     }
 }
 
-fn local_health(shared: &Arc<RouterShared>) -> String {
+fn local_health(shared: &RouterShared) -> String {
     let mut out = String::with_capacity(256);
     let mut all_groups_up = true;
     let mut upstreams = String::new();
@@ -1022,7 +882,7 @@ fn local_health(shared: &Arc<RouterShared>) -> String {
     out
 }
 
-fn local_stats(shared: &Arc<RouterShared>) -> String {
+fn local_stats(shared: &RouterShared) -> String {
     let mut out = String::with_capacity(512);
     out.push_str("{\"ok\":true,\"role\":\"router\",\"stats\":{");
     for (i, (name, value)) in shared.metrics.snapshot().iter().enumerate() {
@@ -1115,7 +975,7 @@ pub(crate) fn adapt_window(window_us: u64, flushed: usize, cap: usize) -> u64 {
     }
 }
 
-fn dispatcher_loop(group: &Arc<GroupState>, rx: &Receiver<Work>, shared: &Arc<RouterShared>) {
+fn dispatcher_loop(group: &Arc<GroupState>, rx: &Receiver<Work>, shared: &RouterShared) {
     let mut conns: Vec<Option<JsonlConn>> = group.upstreams.iter().map(|_| None).collect();
     let mut slots: Vec<Option<Work>> = (0..shared.max_batch).map(|_| None).collect();
     let mut window_us = 0u64;
@@ -1157,7 +1017,7 @@ fn flush_slots(
     group: &Arc<GroupState>,
     conns: &mut [Option<JsonlConn>],
     slots: &mut [Option<Work>],
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     env_buf: &mut String,
     resp_buf: &mut String,
 ) {
@@ -1192,7 +1052,7 @@ fn flush_singles(
     group: &Arc<GroupState>,
     conns: &mut [Option<JsonlConn>],
     pending: &mut Vec<(String, u64, Option<Instant>, SyncSender<String>)>,
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     env_buf: &mut String,
     resp_buf: &mut String,
 ) {
@@ -1422,7 +1282,7 @@ fn attempt_upstream(
 // Health prober: half-open re-admission without waiting for traffic
 // ---------------------------------------------------------------------------
 
-fn prober_loop(shared: &Arc<RouterShared>, interval: Duration) {
+fn prober_loop(shared: &RouterShared, interval: Duration) {
     let probe_timeouts = Timeouts::uniform(Duration::from_millis(500));
     loop {
         // Sleep in small ticks so shutdown joins promptly.

@@ -177,6 +177,21 @@ impl ModelArtifact {
         Self::from_json(&body)
     }
 
+    /// Load an artifact file in either form: a checksummed file
+    /// written by [`ModelArtifact::write_file`] (recognized by its
+    /// [`ARTIFACT_MAGIC`] header; corruption is refused) or a plain
+    /// JSON export.
+    pub fn load_file(path: &std::path::Path) -> Result<Self, String> {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if bytes.starts_with(ARTIFACT_MAGIC.as_bytes()) {
+            return Self::read_file(path);
+        }
+        let json =
+            String::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
+        Self::from_json(&json)
+    }
+
     /// Serialize to a JSON document.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("artifact serialization is infallible")
@@ -359,13 +374,25 @@ mod tests {
         fx.artifact.write_file(&path).expect("write");
         let back = ModelArtifact::read_file(&path).expect("read back");
         assert_eq!(back.to_json(), fx.artifact.to_json());
-        // A single flipped bit anywhere must be caught by the checksum.
+        // `load_file` takes the framed file and a plain JSON export alike.
+        let framed = ModelArtifact::load_file(&path).expect("load framed");
+        assert_eq!(framed.to_json(), fx.artifact.to_json());
+        let plain_path = dir.join("m.json");
+        std::fs::write(&plain_path, fx.artifact.to_json()).unwrap();
+        let plain = ModelArtifact::load_file(&plain_path).expect("load plain JSON");
+        assert_eq!(plain.to_json(), fx.artifact.to_json());
+        // A single flipped bit anywhere must be caught by the checksum,
+        // whichever loader reads the file.
         ams_fault::bit_flip_file(&path, 8 * 200 + 3).expect("flip");
-        let err = ModelArtifact::read_file(&path).unwrap_err();
-        assert!(
-            err.contains("checksum") || err.contains("header") || err.contains("magic"),
-            "{err}"
-        );
+        for err in [
+            ModelArtifact::read_file(&path).unwrap_err(),
+            ModelArtifact::load_file(&path).unwrap_err(),
+        ] {
+            assert!(
+                err.contains("checksum") || err.contains("header") || err.contains("magic"),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

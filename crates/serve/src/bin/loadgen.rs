@@ -133,6 +133,9 @@ fn main() {
         eprintln!("loadgen: health probe failed: {e}");
         std::process::exit(1);
     });
+    // Close the probe before the clients connect: held open, it would
+    // pin one server worker for the whole run.
+    drop(probe);
     let models = health.get("models").and_then(serde::Value::as_array).unwrap_or(&[]);
     let first = models.first().unwrap_or_else(|| {
         eprintln!("loadgen: server has no published models");

@@ -20,7 +20,7 @@
 //! universe and publishes it as `ams-demo` v1. Speak JSON lines to the
 //! printed address; see the README "Serving" section for the protocol.
 
-use ams_serve::{demo, ModelArtifact, Registry, Server, ServerConfig, ARTIFACT_MAGIC};
+use ams_serve::{demo, ModelArtifact, Registry, Server, ServerConfig};
 use std::sync::Arc;
 
 struct Args {
@@ -87,27 +87,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    // Sizing knobs came off the command line — clamp them so a
-    // fat-fingered `--queue 9999999999` costs a warning-sized queue,
-    // not the number's worth of preallocated memory.
-    args.workers = args.workers.clamp(1, MAX_WORKERS);
-    args.queue = args.queue.clamp(1, MAX_QUEUE);
+    // `--workers` and `--queue` need no clamp here: the connection
+    // core bounds both (`ams_serve::net::{MAX_WORKERS, MAX_QUEUE}`).
     Ok(args)
-}
-
-/// Ceiling on `--workers`: one thread per worker.
-const MAX_WORKERS: usize = 1024;
-/// Ceiling on `--queue`: each slot holds a pending request.
-const MAX_QUEUE: usize = 1 << 16;
-
-/// Load a plain-JSON or checksummed (`AMS-ART` framed) artifact file.
-fn load_artifact(path: &str) -> Result<ModelArtifact, String> {
-    let head = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if head.starts_with(ARTIFACT_MAGIC.as_bytes()) {
-        return ModelArtifact::read_file(std::path::Path::new(path));
-    }
-    let json = String::from_utf8(head).map_err(|e| format!("{path}: not UTF-8: {e}"))?;
-    ModelArtifact::from_json(&json)
 }
 
 fn main() {
@@ -121,7 +103,7 @@ fn main() {
 
     let registry = Arc::new(Registry::new());
     for path in &args.artifacts {
-        let artifact = match load_artifact(path) {
+        let artifact = match ModelArtifact::load_file(std::path::Path::new(path)) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("serve: {path}: {e}");

@@ -22,9 +22,12 @@
 //!   degradation to the artifact's fallback predictor;
 //! * [`metrics`] — [`Metrics`], atomic counters and a latency
 //!   histogram exposed through the `stats` request;
-//! * [`net`] — shared client-side JSONL framing with explicit
-//!   connect/read/write timeouts and jittered backoff, used by
-//!   `loadgen` and the cluster router (crates/cluster);
+//! * [`net`] — the JSONL connection layer for both ends: the
+//!   [`net::LineServer`] connection core (accept, bounded admission
+//!   with shedding, worker pool, bounded line reads, shutdown) that
+//!   the server and the cluster router (crates/cluster) are built on,
+//!   and the client side — framing with explicit connect/read/write
+//!   timeouts and jittered backoff, used by `loadgen` and the router;
 //! * [`demo`] — train-and-export on a seeded synthetic universe (the
 //!   `serve --demo` quickstart and the test fixture).
 //!

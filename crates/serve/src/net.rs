@@ -1,20 +1,33 @@
-//! Shared client-side JSONL connection layer.
+//! The JSONL connection layer, both ends of the socket.
 //!
-//! Every component that *talks to* a prediction server — the `loadgen`
-//! binary, the cluster router's upstream pool, the health prober, the
-//! chaos benches — needs the same three things: a TCP connection whose
+//! **Server side.** [`LineServer`] is the one connection core behind
+//! every front door (the `serve` shard server and the cluster router):
+//! bind, an acceptor with bounded admission that answers a full queue
+//! with the caller's shed line, a fixed worker pool, the
+//! [`READ_TICK`]-driven bounded read loop with an optional idle
+//! timeout, the [`MAX_LINE_BYTES`] refusal-then-close, one write per
+//! reply, and a graceful shutdown. What a front door *answers* is its
+//! [`LineHandler`]; everything about the connection lives here, so a
+//! fix to admission, shedding or framing lands once.
+//!
+//! **Client side.** Every component that *talks to* a prediction
+//! server — the `loadgen` binary, the cluster router's upstream pool,
+//! the health prober, the chaos benches — needs a TCP connection whose
 //! connect/read/write are all bounded by explicit timeouts, one-line
-//! request/response framing, and jittered backoff for reconnects. This
-//! module is that layer, extracted so the router (crates/cluster) does
-//! not re-derive it.
+//! request/response framing, and jittered backoff for reconnects:
+//! [`JsonlConn`], [`Timeouts`] and [`backoff`].
 //!
 //! Policy (enforced by the `no-connect-without-timeout` lint): no
 //! request-path socket may be created without a connect timeout, and
 //! every connection sets read + write timeouts immediately. A hung
 //! upstream must cost a bounded wait, never a pinned thread.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Hard cap on one JSONL request/response line, shared by every tier
@@ -62,6 +75,260 @@ pub fn read_line_bounded<R: BufRead>(
         return Ok(if buf.len() >= max { BoundedLine::TooLarge } else { BoundedLine::Closed });
     }
     Ok(BoundedLine::Line(buf.len()))
+}
+
+/// How often a blocked read or an idle worker wakes to check shutdown
+/// and idle time (the router's dispatchers and prober tick on it too).
+pub const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Ceiling on a front door's worker count: one thread per worker.
+pub const MAX_WORKERS: usize = 1024;
+
+/// Ceiling on a front door's admission queue: each slot holds a
+/// pending connection.
+pub const MAX_QUEUE: usize = 1 << 16;
+
+/// Write budget for a shed line, so a refused client that does not
+/// read cannot stall the acceptor.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// A [`LineHandler`]'s answer to one request line.
+pub enum Reply {
+    /// A response line; the core appends the newline, writes both with
+    /// one send, and keeps reading.
+    Line(String),
+    /// Bytes written verbatim with no newline, then the connection
+    /// closes: a response cut off mid-line.
+    Cut(Vec<u8>),
+}
+
+/// What a front door does with its lines; [`LineServer`] owns the
+/// connections. The core is generic over the handler, so the per-line
+/// call is static. The event hooks default to no-ops.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Per-worker scratch, created once on each worker thread and lent
+    /// to every line that worker handles.
+    type Scratch: Default;
+
+    /// The whole line (newline included) a connection refused at
+    /// admission receives before it is closed.
+    const SHED_LINE: &'static [u8];
+
+    /// Answer one request line (trimmed, never empty).
+    fn handle(&self, scratch: &mut Self::Scratch, line: &str) -> Reply;
+
+    /// A connection was shed at admission.
+    fn on_shed(&self) {}
+
+    /// A connection idled past the idle timeout and was closed.
+    fn on_idle(&self) {}
+
+    /// A connection sent a line past [`MAX_LINE_BYTES`]; it got the
+    /// typed refusal and was closed.
+    fn on_oversize(&self) {}
+
+    /// A socket option on an accepted connection could not be set.
+    fn on_config_error(&self) {}
+}
+
+/// A running front door: one acceptor thread feeding a bounded queue
+/// drained by a fixed worker pool, each worker serving one connection
+/// at a time through `H`. Dropping it without [`LineServer::shutdown`]
+/// detaches the threads.
+pub struct LineServer<H: LineHandler> {
+    local_addr: SocketAddr,
+    handler: Arc<H>,
+    shutdown: Arc<AtomicBool>,
+    /// The acceptor, then the workers.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<H: LineHandler> LineServer<H> {
+    /// Bind `addr` and start serving. `workers` is clamped to
+    /// `1..=MAX_WORKERS` and `queue_capacity` to `1..=MAX_QUEUE`; beyond
+    /// `queue_capacity` waiting connections, new ones get
+    /// [`LineHandler::SHED_LINE`] and are closed. `idle_timeout` closes
+    /// a connection that sends nothing for that long; `None` never
+    /// does.
+    pub fn start(
+        addr: &str,
+        workers: usize,
+        queue_capacity: usize,
+        idle_timeout: Option<Duration>,
+        handler: Arc<H>,
+    ) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        // Bounded admission: a burst degrades into fast, explicit
+        // refusals instead of unbounded memory and queueing delay.
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(queue_capacity.clamp(1, MAX_QUEUE));
+        let rx = Arc::new(Mutex::new(rx));
+        let acceptor = {
+            let (handler, shutdown) = (Arc::clone(&handler), Arc::clone(&shutdown));
+            std::thread::spawn(move || accept_loop(&listener, &tx, &*handler, &shutdown))
+        };
+        let workers = (0..workers.clamp(1, MAX_WORKERS)).map(|_| {
+            let (rx, handler, shutdown) =
+                (Arc::clone(&rx), Arc::clone(&handler), Arc::clone(&shutdown));
+            std::thread::spawn(move || worker_loop(&rx, &*handler, idle_timeout, &shutdown))
+        });
+        let threads = std::iter::once(acceptor).chain(workers).collect();
+        Ok(Self { local_addr, handler, shutdown, threads })
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// The handler every worker answers through.
+    pub fn handler(&self) -> &H {
+        &self.handler
+    }
+
+    /// Graceful shutdown: stop accepting, let each worker finish the
+    /// line it is on, join every thread.
+    pub fn shutdown(self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Unblock the acceptor with a throwaway connection — connected
+        // then dropped, never read from, so only the connect is bounded.
+        // ams-lint: allow(no-connect-without-timeout) — write-less nudge, no read to time out
+        let _ = TcpStream::connect_timeout(&self.local_addr, READ_TICK);
+        for h in self.threads {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Admit each accepted connection into the bounded queue, or shed it
+/// when the queue is full. Exits on shutdown (after the nudge
+/// connection) and drops `tx`, so the workers drain and exit.
+fn accept_loop<H: LineHandler>(
+    listener: &TcpListener,
+    tx: &SyncSender<TcpStream>,
+    handler: &H,
+    shutdown: &AtomicBool,
+) {
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(s) => match tx.try_send(s) {
+                Ok(()) => {}
+                Err(TrySendError::Full(mut s)) => {
+                    // The client learns *why* it was refused instead of
+                    // seeing a silent hang or close.
+                    handler.on_shed();
+                    let _ = s.set_nodelay(true);
+                    let _ = s.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
+                    let _ = s.write_all(H::SHED_LINE);
+                }
+                Err(TrySendError::Disconnected(_)) => break,
+            },
+            Err(_) => continue,
+        }
+    }
+}
+
+fn worker_loop<H: LineHandler>(
+    rx: &Mutex<Receiver<TcpStream>>,
+    handler: &H,
+    idle_timeout: Option<Duration>,
+    shutdown: &AtomicBool,
+) {
+    let mut scratch = H::Scratch::default();
+    loop {
+        // Hold the queue lock only while dequeuing. A poisoned lock
+        // means a sibling panicked while dequeuing; the receiver is
+        // still usable, so recover instead of taking the pool down.
+        let conn = {
+            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
+            guard.recv_timeout(READ_TICK)
+        };
+        match conn {
+            Ok(stream) => serve_connection(stream, handler, &mut scratch, idle_timeout, shutdown),
+            Err(RecvTimeoutError::Timeout) if shutdown.load(Ordering::SeqCst) => return,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+/// Serve one connection until the peer closes, the idle timeout or
+/// shutdown ends it, or a write fails.
+fn serve_connection<H: LineHandler>(
+    stream: TcpStream,
+    handler: &H,
+    scratch: &mut H::Scratch,
+    idle_timeout: Option<Duration>,
+    shutdown: &AtomicBool,
+) {
+    if stream.set_nodelay(true).is_err() {
+        handler.on_config_error();
+    }
+    // The read tick keeps an idle connection from pinning its worker
+    // past shutdown and drives the idle accounting. A refused timeout
+    // means this connection can pin its worker, so it is counted.
+    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+        handler.on_config_error();
+    }
+    let Ok(mut writer) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut idle = Duration::ZERO;
+    loop {
+        // The buffer is cleared after each handled line, not here: a
+        // timeout tick leaves partial bytes that the next call resumes.
+        match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(BoundedLine::Line(_)) => idle = Duration::ZERO,
+            Ok(BoundedLine::Closed) => return,
+            Ok(BoundedLine::TooLarge) => {
+                // Past the cap there is no line boundary to resync on
+                // (the rest would parse as garbage requests): refuse
+                // with a typed error, then close.
+                handler.on_oversize();
+                let refusal = format!(
+                    "{{\"ok\":false,\"error\":\"request line exceeded {MAX_LINE_BYTES} bytes\"}}\n"
+                );
+                let _ = writer.write_all(refusal.as_bytes());
+                return;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                idle += READ_TICK;
+                if idle_timeout.is_some_and(|limit| idle >= limit) {
+                    handler.on_idle();
+                    return;
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        let request = line.trim();
+        if !request.is_empty() {
+            match handler.handle(scratch, request) {
+                Reply::Line(mut reply) => {
+                    // ams-lint: allow(no-unbounded-queue-in-serve) — one newline per reply
+                    reply.push('\n');
+                    if writer.write_all(reply.as_bytes()).is_err()
+                        || shutdown.load(Ordering::SeqCst)
+                    {
+                        return;
+                    }
+                }
+                Reply::Cut(bytes) => {
+                    let _ = writer.write_all(&bytes);
+                    return;
+                }
+            }
+        }
+        line.clear();
+    }
 }
 
 /// Explicit bounds on every socket operation of a [`JsonlConn`].
@@ -118,6 +385,9 @@ pub struct JsonlConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     addr: SocketAddr,
+    /// Reused outgoing buffer: a request and its newline leave in one
+    /// send.
+    out: Vec<u8>,
 }
 
 impl JsonlConn {
@@ -128,7 +398,7 @@ impl JsonlConn {
         stream.set_write_timeout(Some(timeouts.write))?;
         let _ = stream.set_nodelay(true);
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { writer: stream, reader, addr })
+        Ok(Self { writer: stream, reader, addr, out: Vec::new() })
     }
 
     /// [`JsonlConn::connect`] by hostname, resolving first.
@@ -149,11 +419,12 @@ impl JsonlConn {
         self.writer.set_read_timeout(Some(d))
     }
 
-    /// Write one request line (newline appended) and flush.
+    /// Write one request line and its newline with a single send.
     pub fn send_line(&mut self, request: &str) -> std::io::Result<()> {
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.out.clear();
+        self.out.extend_from_slice(request.as_bytes());
+        self.out.push(b'\n');
+        self.writer.write_all(&self.out)
     }
 
     /// Read one response line into `buf` (cleared first), capped at

@@ -39,27 +39,20 @@
 
 use crate::engine::{Engine, PredictError};
 use crate::metrics::Metrics;
-use crate::net::{read_line_bounded, BoundedLine, MAX_LINE_BYTES};
+use crate::net::{LineHandler, LineServer, Reply};
 use crate::registry::Registry;
 use ams_fault::{apply_delay, corrupt_bytes, flip_non_finite, FaultAction, FaultPlan, FaultSite};
 use ams_tensor::runtime::{Backend, BackendChoice, Workspace};
 use serde::Value;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often a blocked read wakes to check shutdown and idle time.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Server settings.
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Fixed worker-thread count (min 1).
+    /// Fixed worker-thread count (clamped to `1..=net::MAX_WORKERS`).
     pub workers: usize,
     /// Execution backend spec (`"seq"`, `"par"`, `"par:N"`, `"simd"`,
     /// `"f32"`, `"f32:SPEC"`); `None` means sequential. The f64 specs
@@ -72,7 +65,8 @@ pub struct ServerConfig {
     /// bit-identical; single-company predicts are untouched.
     pub backend: Option<String>,
     /// Bounded admission queue: connections beyond this many waiting
-    /// are shed with an explicit response (min 1).
+    /// are shed with an explicit response (clamped to
+    /// `1..=net::MAX_QUEUE`).
     pub queue_capacity: usize,
     /// Close a connection idle for this long, counting it in
     /// `idle_disconnects`; `0` disables the idle timeout.
@@ -107,20 +101,15 @@ struct Shared {
     /// `Some` puts batch prediction on the quantized f32 path, run on
     /// this backend; `None` (the default) keeps the bit-exact f64 path.
     backend_f32: Option<Arc<dyn Backend<f32>>>,
-    shutdown: Arc<AtomicBool>,
-    idle_timeout: Option<Duration>,
     default_deadline: Option<Duration>,
     faults: Arc<dyn FaultPlan>,
 }
 
-/// A running prediction server. Dropping without [`Server::shutdown`]
-/// detaches the threads; call `shutdown` for a clean stop.
+/// A running prediction server on the [`LineServer`] connection core.
+/// Dropping without [`Server::shutdown`] detaches the threads; call
+/// `shutdown` for a clean stop.
 pub struct Server {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
+    core: LineServer<Shared>,
 }
 
 impl Server {
@@ -145,234 +134,103 @@ impl Server {
                 ),
             },
         };
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(Metrics::new());
+        let millis = |ms| if ms == 0 { None } else { Some(Duration::from_millis(ms)) };
         let shared = Arc::new(Shared {
             registry,
-            metrics: Arc::clone(&metrics),
+            metrics: Arc::new(Metrics::new()),
             backend,
             backend_f32,
-            shutdown: Arc::clone(&shutdown),
-            idle_timeout: match config.idle_timeout_ms {
-                0 => None,
-                ms => Some(Duration::from_millis(ms)),
-            },
-            default_deadline: match config.default_deadline_ms {
-                0 => None,
-                ms => Some(Duration::from_millis(ms)),
-            },
+            default_deadline: millis(config.default_deadline_ms),
             faults: config.faults.unwrap_or_else(|| Arc::new(ams_fault::NoFaults)),
         });
-
-        // Bounded admission: the acceptor sheds (with an explicit
-        // response) once this many connections are waiting, so a burst
-        // degrades into fast refusals instead of unbounded memory
-        // growth and unbounded queueing delay.
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            mpsc::sync_channel(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&rx, &shared))
-            })
-            .collect();
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_handle = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => match tx.try_send(s) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(s)) => shed_connection(s, &accept_metrics),
-                        Err(TrySendError::Disconnected(_)) => break,
-                    },
-                    Err(_) => continue,
-                }
-            }
-            // `tx` drops here: workers drain the queue and exit.
-        });
-
-        Ok(Self { local_addr, shutdown, accept_handle: Some(accept_handle), workers, metrics })
+        let core = LineServer::start(
+            &config.addr,
+            config.workers,
+            config.queue_capacity,
+            millis(config.idle_timeout_ms),
+            shared,
+        )?;
+        Ok(Self { core })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.core.local_addr()
     }
 
     /// Shared metrics handle.
     pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.core.handler().metrics)
     }
 
     /// Graceful shutdown: stop accepting, let workers finish the
     /// request they are on, join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection — connected
-        // then dropped, never read from, so only the connect is bounded.
-        // ams-lint: allow(no-connect-without-timeout) — write-less nudge, no read to time out
-        let _ = TcpStream::connect_timeout(&self.local_addr, READ_TICK);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        self.core.shutdown();
     }
 }
 
-/// Refuse one connection with an explicit shed line, then close it.
-/// The client sees *why* it was refused instead of a silent hang.
-fn shed_connection(mut stream: TcpStream, metrics: &Metrics) {
-    metrics.record_shed();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.write_all(
-        b"{\"ok\":false,\"shed\":true,\"error\":\"server overloaded: connection shed\"}\n",
-    );
-    let _ = stream.flush();
-}
+impl LineHandler for Shared {
+    /// Per-worker scratch arenas, one per precision: buffers recycle
+    /// across every request a worker serves, so the prediction hot path
+    /// stops allocating once warm. The f32 arena stays empty unless the
+    /// server runs the mixed-precision path.
+    type Scratch = (Workspace, Workspace<f32>);
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
-    // Per-worker scratch arenas (one per precision): request handling
-    // borrows them mutably, so buffers recycle across every request
-    // this worker serves and the prediction hot path stops allocating
-    // once warm. The f32 arena stays empty unless the server runs the
-    // mixed-precision path.
-    let mut ws = Workspace::new();
-    let mut ws32: Workspace<f32> = Workspace::new();
-    loop {
-        // Hold the queue lock only while dequeuing; the timeout lets the
-        // worker notice shutdown even when no connections arrive.
-        let conn = {
-            // A poisoned queue lock means a sibling worker panicked
-            // while dequeuing; the receiver is still usable, so recover
-            // instead of taking the whole pool down.
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv_timeout(Duration::from_millis(50))
-        };
-        match conn {
-            Ok(stream) => handle_connection(stream, shared, &mut ws, &mut ws32),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
+    const SHED_LINE: &'static [u8] =
+        b"{\"ok\":false,\"shed\":true,\"error\":\"server overloaded: connection shed\"}\n";
 
-fn handle_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    ws: &mut Workspace,
-    ws32: &mut Workspace<f32>,
-) {
-    if stream.set_nodelay(true).is_err() {
-        shared.metrics.record_config_error();
-    }
-    // A finite read timeout keeps an idle connection from pinning its
-    // worker past shutdown (and drives the idle-timeout accounting). A
-    // refused timeout is a real degradation — this connection can now
-    // pin its worker — so it is counted, not ignored.
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        shared.metrics.record_config_error();
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut idle = Duration::ZERO;
-    loop {
-        // The buffer is cleared after each processed line, not here: a
-        // timeout tick leaves partial bytes that the next call resumes.
-        match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES) {
-            Ok(BoundedLine::Line(_)) => idle = Duration::ZERO,
-            Ok(BoundedLine::Closed) => return, // client closed
-            Ok(BoundedLine::TooLarge) => {
-                // A line past the cap cannot be re-synchronized (the
-                // rest of it would parse as garbage requests): refuse
-                // with a typed error, then close.
-                shared.metrics.record("oversized", Duration::ZERO, true);
-                let refusal = format!(
-                    "{{\"ok\":false,\"error\":\"request line exceeded {MAX_LINE_BYTES} bytes\"}}\n"
-                );
-                let _ = writer.write_all(refusal.as_bytes());
-                let _ = writer.flush();
-                return;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle += READ_TICK;
-                if let Some(limit) = shared.idle_timeout {
-                    if idle >= limit {
-                        shared.metrics.record_idle_disconnect();
-                        return;
-                    }
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
+    fn handle(&self, (ws, ws32): &mut Self::Scratch, line: &str) -> Reply {
         // Injected faults (NoFaults in production — every decide() is
         // None): a stalled client, corrupted request bytes, a slow
-        // worker. The server must absorb all of them without crashing.
-        if let Some(FaultAction::Stall { millis }) =
-            shared.faults.decide(FaultSite::ConnectionStall)
+        // worker, a connection dying mid-response. The server must
+        // absorb all of them without crashing.
+        if let Some(FaultAction::Stall { millis }) = self.faults.decide(FaultSite::ConnectionStall)
         {
             apply_delay(millis);
         }
-        if let Some(FaultAction::CorruptBytes { xor_seed, density }) =
-            shared.faults.decide(FaultSite::RequestBytes)
-        {
-            let mut bytes = std::mem::take(&mut line).into_bytes();
-            corrupt_bytes(&mut bytes, xor_seed, density);
-            line = String::from_utf8_lossy(&bytes).into_owned();
-        }
-        if let Some(FaultAction::Delay { millis }) = shared.faults.decide(FaultSite::WorkerDelay) {
+        let corrupted: String;
+        let line = match self.faults.decide(FaultSite::RequestBytes) {
+            Some(FaultAction::CorruptBytes { xor_seed, density }) => {
+                let mut bytes = line.as_bytes().to_vec();
+                corrupt_bytes(&mut bytes, xor_seed, density);
+                corrupted = String::from_utf8_lossy(&bytes).into_owned();
+                corrupted.trim()
+            }
+            _ => line,
+        };
+        if let Some(FaultAction::Delay { millis }) = self.faults.decide(FaultSite::WorkerDelay) {
             apply_delay(millis);
         }
         let started = Instant::now();
-        let (kind, response) = handle_request(line.trim(), shared, ws, ws32);
+        let (kind, response) = handle_request(line, self, ws, ws32);
         let is_error = matches!(response.get("ok").and_then(Value::as_bool), Some(false) | None);
-        shared.metrics.record(&kind, started.elapsed(), is_error);
-        let mut encoded = serde_json::to_string(&response).unwrap_or_else(|_| {
+        self.metrics.record(&kind, started.elapsed(), is_error);
+        let encoded = serde_json::to_string(&response).unwrap_or_else(|_| {
             r#"{"ok":false,"error":"internal: response serialization failed"}"#.to_string()
         });
-        // ams-lint: allow(no-unbounded-queue-in-serve) — one newline per response
-        encoded.push('\n');
-        if let Some(FaultAction::Truncate) = shared.faults.decide(FaultSite::ConnectionTruncate) {
-            // Simulate the connection dying mid-response.
-            let _ = writer.write_all(&encoded.as_bytes()[..encoded.len() / 2]);
-            return;
+        if let Some(FaultAction::Truncate) = self.faults.decide(FaultSite::ConnectionTruncate) {
+            let mut cut = encoded.into_bytes();
+            cut.truncate(cut.len() / 2);
+            return Reply::Cut(cut);
         }
-        if writer.write_all(encoded.as_bytes()).is_err() || writer.flush().is_err() {
-            return;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        line.clear();
+        Reply::Line(encoded)
+    }
+
+    fn on_shed(&self) {
+        self.metrics.record_shed();
+    }
+
+    fn on_idle(&self) {
+        self.metrics.record_idle_disconnect();
+    }
+
+    fn on_oversize(&self) {
+        self.metrics.record("oversized", Duration::ZERO, true);
+    }
+
+    fn on_config_error(&self) {
+        self.metrics.record_config_error();
     }
 }
 

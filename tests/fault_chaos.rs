@@ -5,11 +5,12 @@
 //! explicit response, bad inputs and engine failures must degrade with
 //! the right tags, and a hot-swap must heal an open circuit breaker.
 
+use ams::cluster::{Router, RouterConfig};
 use ams::fault::{FaultSite, SeededFaults};
 use ams::serve::demo::train_demo;
 use ams::serve::{BreakerConfig, ModelArtifact, Registry, Server, ServerConfig};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -143,46 +144,137 @@ fn server_survives_seeded_fault_storm() {
     server.shutdown();
 }
 
-#[test]
-fn overload_sheds_with_explicit_response() {
-    let (artifact, _) = demo_artifact();
-    let registry = Arc::new(Registry::new());
-    registry.publish(artifact.clone()).unwrap();
-    let server = Server::start(
-        ServerConfig { workers: 1, queue_capacity: 1, idle_timeout_ms: 0, ..Default::default() },
-        registry,
-    )
-    .unwrap();
-    let addr = server.local_addr().to_string();
+/// A front door under test: a shard server alone, or a router over one
+/// shard server. Both run on the same connection core, so both must
+/// shed and refuse with the same framing.
+enum Front {
+    Server(Server),
+    Router { router: Router, shard: Server },
+}
 
-    // Pin the only worker: after this round trip the worker owns this
-    // connection and holds it until we close it.
-    let (mut pin_w, mut pin_r) = connect(&addr);
-    round_trip(&mut pin_w, &mut pin_r, r#"{"type":"health"}"#).unwrap();
-
-    // Burst past the queue: one connection queues, the rest must each
-    // receive an explicit shed line (not a hang, not a silent close).
-    let mut burst = Vec::new();
-    for _ in 0..8 {
-        let (w, r) = connect(&addr);
-        w.set_read_timeout(Some(Duration::from_millis(800))).ok();
-        burst.push((w, r));
+impl Front {
+    /// Start a front door with `workers` workers, an admission queue of
+    /// `queue_capacity` connections and no idle timeout.
+    fn start(routed: bool, workers: usize, queue_capacity: usize) -> Self {
+        let serve = |config| {
+            let registry = Arc::new(Registry::new());
+            registry.publish(demo_artifact().0.clone()).unwrap();
+            Server::start(config, registry).unwrap()
+        };
+        if !routed {
+            let config =
+                ServerConfig { workers, queue_capacity, idle_timeout_ms: 0, ..Default::default() };
+            return Front::Server(serve(config));
+        }
+        let shard = serve(ServerConfig::default());
+        let router = Router::start(RouterConfig {
+            workers,
+            queue_capacity,
+            shards: vec![vec![shard.local_addr()]],
+            ..Default::default()
+        })
+        .unwrap();
+        Front::Router { router, shard }
     }
-    let mut shed = 0;
-    for (_, reader) in &mut burst {
-        let mut line = String::new();
-        if reader.read_line(&mut line).is_ok() && !line.trim().is_empty() {
-            let resp: Value = serde_json::from_str(line.trim()).unwrap();
-            assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
-            assert_eq!(resp.get("shed").and_then(Value::as_bool), Some(true));
-            shed += 1;
+
+    fn addr(&self) -> String {
+        match self {
+            Front::Server(s) => s.local_addr().to_string(),
+            Front::Router { router, .. } => router.local_addr().to_string(),
         }
     }
-    assert!(shed >= 5, "expected most of the burst shed, got {shed}/8");
-    assert_eq!(server.metrics().snapshot().shed, shed as u64);
-    drop(burst);
-    drop((pin_w, pin_r));
-    server.shutdown();
+
+    /// The exact line a shed connection receives.
+    fn shed_line(&self) -> &'static str {
+        match self {
+            Front::Server(_) => {
+                "{\"ok\":false,\"shed\":true,\"error\":\"server overloaded: connection shed\"}\n"
+            }
+            Front::Router { .. } => {
+                "{\"ok\":false,\"shed\":true,\"error\":\"router overloaded: connection shed\"}\n"
+            }
+        }
+    }
+
+    /// The front door's own shed counter.
+    fn sheds(&self) -> u64 {
+        match self {
+            Front::Server(s) => s.metrics().snapshot().shed,
+            Front::Router { router, .. } => {
+                router.metrics().sheds.load(std::sync::atomic::Ordering::Relaxed)
+            }
+        }
+    }
+
+    fn shutdown(self) {
+        match self {
+            Front::Server(s) => s.shutdown(),
+            Front::Router { router, shard } => {
+                router.shutdown();
+                shard.shutdown();
+            }
+        }
+    }
+}
+
+#[test]
+fn overload_sheds_with_explicit_response() {
+    for routed in [false, true] {
+        let front = Front::start(routed, 1, 1);
+        let addr = front.addr();
+
+        // Pin the only worker: after this round trip the worker owns
+        // this connection and holds it until we close it.
+        let (mut pin_w, mut pin_r) = connect(&addr);
+        round_trip(&mut pin_w, &mut pin_r, r#"{"type":"health"}"#).unwrap();
+
+        // Burst past the queue: one connection queues, the rest must
+        // each receive the explicit shed line, byte for byte (not a
+        // hang, not a silent close).
+        let mut burst = Vec::new();
+        for _ in 0..8 {
+            let (w, r) = connect(&addr);
+            w.set_read_timeout(Some(Duration::from_millis(800))).ok();
+            burst.push((w, r));
+        }
+        let mut shed = 0;
+        for (_, reader) in &mut burst {
+            let mut line = String::new();
+            if reader.read_line(&mut line).is_ok() && !line.is_empty() {
+                assert_eq!(line, front.shed_line(), "routed = {routed}");
+                shed += 1;
+            }
+        }
+        assert!(shed >= 5, "expected most of the burst shed, got {shed}/8 (routed = {routed})");
+        assert_eq!(front.sheds(), shed as u64, "routed = {routed}");
+        drop(burst);
+        drop((pin_w, pin_r));
+        front.shutdown();
+    }
+}
+
+/// A line past the cap gets the documented refusal, byte for byte, and
+/// a close — from the server and the router alike — and the front door
+/// keeps serving fresh connections.
+#[test]
+fn oversized_line_is_refused_then_closed_by_both_front_doors() {
+    for routed in [false, true] {
+        let front = Front::start(routed, 2, 64);
+        let (mut w, mut r) = connect(&front.addr());
+        // Exactly the cap with no newline: no unread bytes are left to
+        // race the refusal with a connection reset.
+        w.write_all(&vec![b'a'; ams::serve::net::MAX_LINE_BYTES]).unwrap();
+        let mut raw = String::new();
+        r.read_to_string(&mut raw).unwrap();
+        assert_eq!(
+            raw, "{\"ok\":false,\"error\":\"request line exceeded 65536 bytes\"}\n",
+            "routed = {routed}"
+        );
+        let (mut w, mut r) = connect(&front.addr());
+        let health = round_trip(&mut w, &mut r, r#"{"type":"health"}"#).unwrap();
+        assert_eq!(health.get("ok").and_then(Value::as_bool), Some(true), "routed = {routed}");
+        front.shutdown();
+    }
 }
 
 #[test]
