@@ -39,7 +39,8 @@ pub struct RootSpec {
     pub bind: BTreeMap<String, String>,
 }
 
-fn unquote(s: &str) -> Result<String, String> {
+/// A `"…"` value of the TOML subset `audit.toml` and `taint.toml` share.
+pub(crate) fn unquote(s: &str) -> Result<String, String> {
     let t = s.trim();
     if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
         Ok(t[1..t.len() - 1].to_string())
@@ -48,7 +49,8 @@ fn unquote(s: &str) -> Result<String, String> {
     }
 }
 
-fn parse_array(s: &str) -> Result<Vec<String>, String> {
+/// A single-line `["…", …]` array of the same subset.
+pub(crate) fn parse_array(s: &str) -> Result<Vec<String>, String> {
     let t = s.trim();
     let inner = t
         .strip_prefix('[')

@@ -28,6 +28,8 @@
 //! justification is mandatory, and a bare `allow(fact)` is itself an
 //! error (see [`crate::audit`] module docs).
 
+use crate::source::{is_ident_byte, token_positions};
+
 /// One of the three audited facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Fact {
@@ -184,34 +186,13 @@ const BLOCK_BOUNDED: [&str; 2] = [".recv_timeout(", ".wait_timeout("];
 /// statement's allocations cold.
 const COLD_MARKERS: [&str; 4] = ["Err(", ".map_err(", ".ok_or(", ".ok_or_else("];
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Every occurrence of `needle` in `code` whose preceding byte is not
-/// an identifier byte — so `assert!(` never matches inside
-/// `debug_assert!(`, and `Err(` never matches inside `MyErr(`.
-fn token_starts(code: &str, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(needle) {
-        let pos = from + rel;
-        let boundary = needle.starts_with('.') || needle.starts_with('[');
-        if boundary || pos == 0 || !is_ident_byte(code.as_bytes()[pos - 1]) {
-            out.push(pos);
-        }
-        from = pos + needle.len();
-    }
-    out
-}
-
 /// Byte position of the first error-construction marker on a line,
 /// if any. Allocations (and calls) positioned *after* the marker are
 /// cold: they happen while building an error that ends the request.
 /// Anything before it — e.g. the hot call in
 /// `self.run(…).map_err(|e| e.to_string())` — stays hot.
 pub fn first_cold_marker(code: &str) -> Option<usize> {
-    COLD_MARKERS.iter().filter_map(|m| token_starts(code, m).first().copied()).min()
+    COLD_MARKERS.iter().filter_map(|m| token_positions(code, m).first().copied()).min()
 }
 
 /// True when a statement contains an error-construction marker.
@@ -255,12 +236,12 @@ pub fn detect_sites(code: &str, line_no: usize, cold_from: Option<(usize, usize)
         });
     };
     for t in PANIC_MAY {
-        for pos in token_starts(code, t) {
+        for pos in token_positions(code, t) {
             push(Fact::Panic, Tier::May, pos, t);
         }
     }
     for t in PANIC_GUARDED {
-        for pos in token_starts(code, t) {
+        for pos in token_positions(code, t) {
             push(Fact::Panic, Tier::Guarded, pos, t);
         }
     }
@@ -268,19 +249,19 @@ pub fn detect_sites(code: &str, line_no: usize, cold_from: Option<(usize, usize)
         push(Fact::Panic, Tier::Guarded, pos, "[...]");
     }
     for t in ALLOC_TOKENS {
-        for pos in token_starts(code, t) {
+        for pos in token_positions(code, t) {
             let cold = cold_from.is_some_and(|cf| (line_no, pos) > cf);
             let tier = if cold { Tier::Guarded } else { Tier::May };
             push(Fact::Alloc, tier, pos, t);
         }
     }
     for t in BLOCK_MAY {
-        for pos in token_starts(code, t) {
+        for pos in token_positions(code, t) {
             push(Fact::Block, Tier::May, pos, t);
         }
     }
     for t in BLOCK_BOUNDED {
-        for pos in token_starts(code, t) {
+        for pos in token_positions(code, t) {
             push(Fact::Block, Tier::Guarded, pos, t);
         }
     }

@@ -39,6 +39,7 @@
 
 use super::facts::{Fact, Tier};
 use super::model::{FnModel, WorkspaceModel};
+use crate::source::is_ident_byte;
 use std::collections::BTreeMap;
 
 /// Per-function level for each fact, indexed by [`fact_index`].
@@ -74,10 +75,6 @@ impl CallGraph {
     pub fn edge_count(&self) -> usize {
         self.edges.iter().map(Vec::len).sum()
     }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 const KEYWORDS: [&str; 14] = [
@@ -213,7 +210,7 @@ impl<'m> Indexes<'m> {
 
 /// Walk the dotted receiver chain ending at `dot_pos` (which must be
 /// a `.`). `None` means an expression receiver (`foo().bar(`, `xs[i].`).
-fn receiver_chain(code: &str, dot_pos: usize) -> Option<Vec<String>> {
+pub(crate) fn receiver_chain(code: &str, dot_pos: usize) -> Option<Vec<String>> {
     let bytes = code.as_bytes();
     let mut segs = Vec::new();
     let mut dot = dot_pos;
@@ -243,7 +240,7 @@ fn receiver_chain(code: &str, dot_pos: usize) -> Option<Vec<String>> {
 
 /// Resolve a receiver chain to a type name via params, locals,
 /// `self`, and struct field maps.
-fn chain_type(fun: &FnModel, model: &WorkspaceModel, segs: &[String]) -> Option<String> {
+pub(crate) fn chain_type(fun: &FnModel, model: &WorkspaceModel, segs: &[String]) -> Option<String> {
     let first = segs.first()?;
     let mut ty = if first == "self" {
         fun.impl_type.clone()?
@@ -433,6 +430,38 @@ pub fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
         }
     }
     (comp_of, comps)
+}
+
+/// Bottom-up summaries over the condensation: `step(i, summaries)`
+/// recomputes fn `i` from its callees' current summaries. Components
+/// come callees-first, so an acyclic fn is computed once; a recursive
+/// component sweeps until `same(new, old)` holds for every member. The
+/// sweep bound is a safety net: the passes' lattices are finite and
+/// their updates monotone.
+pub fn bottom_up<S: Clone + Default>(
+    edges: &[Vec<CallSite>],
+    mut step: impl FnMut(usize, &[S]) -> S,
+    same: impl Fn(&S, &S) -> bool,
+) -> Vec<S> {
+    let adj: Vec<Vec<usize>> =
+        edges.iter().map(|es| es.iter().map(|e| e.callee).collect()).collect();
+    let (_, comps) = condense(edges.len(), &adj);
+    let mut summaries = vec![S::default(); edges.len()];
+    for comp in &comps {
+        let cyclic = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
+        for _sweep in 0..if cyclic { 3 * comp.len() + 2 } else { 1 } {
+            let mut changed = false;
+            for &i in comp {
+                let s = step(i, &summaries);
+                changed |= !same(&s, &summaries[i]);
+                summaries[i] = s;
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+    summaries
 }
 
 /// Bottom-up lattice propagation over the condensation. `intrinsic`

@@ -31,7 +31,7 @@ pub mod graph;
 pub mod model;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::lint::workspace_sources;
+use crate::source;
 use config::RootSpec;
 use facts::{Fact, Tier};
 use graph::{fact_index, CallGraph, Levels};
@@ -142,19 +142,7 @@ pub fn audit_sources(sources: &[(String, String)], roots: &[RootSpec]) -> (Repor
     let mut report = Report::new();
 
     // Suppressions must justify themselves.
-    for mark in &model.marks {
-        if !mark.justified {
-            report.extend(vec![Diagnostic::error(
-                "audit-bad-suppression",
-                Location::Source { file: mark.file.clone(), line: mark.line, col: mark.col },
-                format!(
-                    "`ams-audit` allow({}) without a justification",
-                    mark.fact_names.join(", ")
-                ),
-            )
-            .with_hint("append `: <reason>` — every audit suppression must explain itself")]);
-        }
-    }
+    report.extend(model.unjustified("audit"));
 
     let intrinsic: Vec<Levels> = model.fns.iter().map(graph::intrinsic_levels).collect();
     // Call graphs are cached per bind environment; the unbound graph
@@ -269,30 +257,13 @@ pub fn audit_sources(sources: &[(String, String)], roots: &[RootSpec]) -> (Repor
     (report, stats)
 }
 
-/// Read + audit a set of files. Labels are `root`-relative when the
-/// file sits under `root`, the raw path otherwise.
-pub fn audit_files(
-    root: &Path,
-    paths: &[std::path::PathBuf],
-    roots: &[RootSpec],
-) -> Result<(Report, AuditStats), String> {
-    let mut sources = Vec::with_capacity(paths.len());
-    for path in paths {
-        let label = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let content = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        sources.push((label, content));
-    }
-    Ok(audit_sources(&sources, roots))
-}
-
 /// Audit every workspace source under `root` against `config`.
 pub fn audit_workspace(root: &Path, config: &Path) -> Result<(Report, AuditStats), String> {
     let text = std::fs::read_to_string(config)
         .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
     let roots = config::parse(&text)?;
-    let paths = workspace_sources(root)?;
-    audit_files(root, &paths, &roots)
+    let sources = source::load(root, &source::workspace_sources(root)?)?;
+    Ok(audit_sources(&sources, &roots))
 }
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
-//! Per-function workspace model for the whole-program audit.
-//!
-//! The same dependency-free scanner idiom as [`crate::lint`] and
-//! [`crate::conc::lockorder`]: no `syn`, just the conventions rustfmt
+//! Per-function workspace model: the one Rust front end of the audit,
+//! taint and lock-order passes. No `syn`: it reads
+//! [`crate::source::clean`]ed lines and leans on the conventions rustfmt
 //! enforces throughout this repo — indentation tracks block structure,
 //! one statement per line (long statements continue with unbalanced
-//! parens), `#[cfg(test)]` modules close each file. On top of the
-//! lockorder scanner this model additionally records:
+//! parens), `#[cfg(test)]` modules close each file. It records:
 //!
+//! * every function with its owner, typed parameters and body lines;
 //! * trait declarations with their method names (for dispatch and the
 //!   one-level trait fallback in [`super::graph`]);
 //! * `impl Trait for Type` pairs (which type implements which trait);
 //! * struct field types and typed fn parameters / `let` bindings, so
 //!   receiver chains like `self.artifact.slave_weights` resolve;
+//! * the `Mutex`/`RwLock` kind of lock fields and parameters, and which
+//!   functions return a guard (for [`crate::conc::lockorder`]);
 //! * statement units (lines grouped by paren/bracket balance), so a
 //!   multi-line `return Err(format!(…))` is recognized as one cold
 //!   error-construction statement;
-//! * `// ams-audit: allow(fact): justification` suppression marks.
+//! * every `// ams-<tool>: allow(…)` suppression mark.
 //!
 //! Conservatism contract: when the scanner cannot classify something
 //! it records *less* (an unresolved call, an unknown type), never
@@ -25,8 +26,16 @@
 //! lost, only their interprocedural reach.
 
 use super::facts::{detect_sites, first_cold_marker, Site};
-use crate::lint::code_part;
+use crate::diagnostic::{Diagnostic, Location};
+use crate::source::{self, ident, is_ident_char, Mark};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Kind of a lock object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockKind {
+    Mutex,
+    RwLock,
+}
 
 /// A typed fn parameter (`name: Type`), with the outermost useful
 /// type identifier extracted (`&dyn Backend` → `Backend`,
@@ -35,6 +44,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Param {
     pub name: String,
     pub ty: Option<String>,
+    /// The parameter is itself a lock (`m: &Mutex<T>`).
+    pub lock: Option<LockKind>,
 }
 
 /// One body line: 1-based source line and comment/string-stripped code.
@@ -64,6 +75,8 @@ pub struct FnModel {
     /// 1-based line of the `fn` keyword.
     pub decl_line: usize,
     pub params: Vec<Param>,
+    /// The return type is a lock guard: calling this fn acquires.
+    pub guard_returning: bool,
     pub body: Vec<BodyLine>,
     /// Intrinsic fact sites detected in the body.
     pub sites: Vec<Site>,
@@ -82,17 +95,6 @@ impl FnModel {
     }
 }
 
-/// One `// ams-audit: allow(fact, …)` marker occurrence.
-#[derive(Debug, Clone)]
-pub struct AllowMark {
-    pub fact_names: Vec<String>,
-    /// Non-empty justification text followed the closing paren.
-    pub justified: bool,
-    pub file: String,
-    pub line: usize,
-    pub col: usize,
-}
-
 /// The parsed workspace: functions plus the indexes resolution needs.
 #[derive(Debug, Default)]
 pub struct WorkspaceModel {
@@ -103,90 +105,31 @@ pub struct WorkspaceModel {
     pub trait_impls: BTreeMap<String, Vec<String>>,
     /// Struct name → field name → field type identifier.
     pub fields: BTreeMap<String, BTreeMap<String, String>>,
-    /// Every `ams-audit: allow` marker seen, for the justification
-    /// audit.
-    pub marks: Vec<AllowMark>,
+    /// Struct name → lock field name → lock kind.
+    pub locks: BTreeMap<String, BTreeMap<String, LockKind>>,
+    /// Every suppression mark seen, with its file label.
+    pub marks: Vec<(String, Mark)>,
     /// Files parsed.
     pub files: usize,
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Replace string/char-literal contents with spaces so paren counting
-/// and token matching never see quoted text. Length-preserving, so
-/// columns stay valid. Lifetimes (`'a`) are left alone.
-pub fn strip_strings(code: &str) -> String {
-    let bytes = code.as_bytes();
-    let mut out = vec![b' '; bytes.len()];
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                out[i] = b'"';
-                i += 1;
-                while i < bytes.len() {
-                    if bytes[i] == b'\\' {
-                        i += 2;
-                        continue;
-                    }
-                    if bytes[i] == b'"' {
-                        out[i] = b'"';
-                        i += 1;
-                        break;
-                    }
-                    i += 1;
-                }
-            }
-            b'\'' => {
-                // A char literal is `'x'` or `'\x'`; anything else
-                // (lifetime) is kept verbatim.
-                let close = if i + 2 < bytes.len() && bytes[i + 1] == b'\\' {
-                    (bytes.get(i + 3) == Some(&b'\'')).then_some(i + 3)
-                } else {
-                    (bytes.get(i + 2) == Some(&b'\'')).then_some(i + 2)
-                };
-                match close {
-                    Some(c) => {
-                        out[i] = b'\'';
-                        out[c] = b'\'';
-                        i = c + 1;
-                    }
-                    None => {
-                        out[i] = bytes[i];
-                        i += 1;
-                    }
-                }
-            }
-            b => {
-                out[i] = b;
-                i += 1;
-            }
-        }
+impl WorkspaceModel {
+    /// `<tool>-bad-suppression` errors for the `tool` marks that lack
+    /// the justification audit and taint suppressions require.
+    pub fn unjustified(&self, tool: &str) -> Vec<Diagnostic> {
+        let bare = self.marks.iter().filter(|(_, m)| m.tool == tool && !m.justified);
+        bare.map(|(file, m)| {
+            Diagnostic::error(
+                &format!("{tool}-bad-suppression"),
+                Location::Source { file: file.clone(), line: m.line, col: m.col },
+                format!("`ams-{tool}` allow({}) without a justification", m.rules.join(", ")),
+            )
+            .with_hint(format!(
+                "append `: <reason>` — every {tool} suppression must explain itself"
+            ))
+        })
+        .collect()
     }
-    String::from_utf8(out).unwrap_or_default()
-}
-
-/// Parse `// ams-audit: allow(fact, …): justification` from a raw
-/// line. The justification is everything after the closing paren,
-/// with leading `:`/`—`/`-`/space stripped; empty means unjustified.
-pub fn allow_marks(raw: &str, file: &str, line_no: usize) -> Option<AllowMark> {
-    const NEEDLE: &str = "ams-audit: allow(";
-    let pos = raw.find(NEEDLE)?;
-    let rest = &raw[pos + NEEDLE.len()..];
-    let end = rest.find(')')?;
-    let fact_names: Vec<String> =
-        rest[..end].split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect();
-    let justification =
-        rest[end + 1..].trim_start_matches([':', ' ', '\u{2014}', '-']).trim().to_string();
-    Some(AllowMark {
-        fact_names,
-        justified: !justification.is_empty(),
-        file: file.to_string(),
-        line: line_no,
-        col: pos + 1,
-    })
 }
 
 /// The signature text from `fn` onward, if this line starts a fn item.
@@ -203,10 +146,6 @@ fn fn_decl(trimmed: &str) -> Option<&str> {
     Some(&trimmed[pos..])
 }
 
-fn ident_prefix(s: &str) -> String {
-    s.chars().take_while(|&c| is_ident_char(c)).collect()
-}
-
 /// `struct Name` with only visibility qualifiers before it.
 fn struct_decl(trimmed: &str) -> Option<String> {
     let pos = trimmed.find("struct ")?;
@@ -214,7 +153,7 @@ fn struct_decl(trimmed: &str) -> Option<String> {
     {
         return None;
     }
-    let name = ident_prefix(&trimmed[pos + "struct ".len()..]);
+    let name = ident(&trimmed[pos + "struct ".len()..]).to_string();
     (!name.is_empty()).then_some(name)
 }
 
@@ -224,7 +163,7 @@ fn trait_decl(trimmed: &str) -> Option<String> {
     if !trimmed[..pos].chars().all(|c| c.is_ascii_alphabetic() || c == ' ') {
         return None;
     }
-    let name = ident_prefix(&trimmed[pos + "trait ".len()..]);
+    let name = ident(&trimmed[pos + "trait ".len()..]).to_string();
     (!name.is_empty()).then_some(name)
 }
 
@@ -257,7 +196,7 @@ fn impl_decl(trimmed: &str) -> Option<(String, Option<String>)> {
     let rest = rest.trim_start();
     let last_segment = |s: &str| {
         let head = s.split([' ', '<', '{']).next().unwrap_or("");
-        ident_prefix(head.rsplit("::").next().unwrap_or(""))
+        ident(head.rsplit("::").next().unwrap_or("")).to_string()
     };
     match rest.find(" for ") {
         Some(pos) => {
@@ -269,6 +208,18 @@ fn impl_decl(trimmed: &str) -> Option<(String, Option<String>)> {
             let ty = last_segment(rest);
             (!ty.is_empty()).then_some((ty, None))
         }
+    }
+}
+
+/// The lock kind a type expression wraps, outermost first
+/// (`Arc<Mutex<T>>` → `Mutex`).
+pub fn lock_kind(ty: &str) -> Option<LockKind> {
+    let kind_at = |needle: &str| ty.find(needle);
+    match (kind_at("Mutex<"), kind_at("RwLock<")) {
+        (Some(m), Some(r)) if r < m => Some(LockKind::RwLock),
+        (Some(_), _) => Some(LockKind::Mutex),
+        (None, Some(_)) => Some(LockKind::RwLock),
+        (None, None) => None,
     }
 }
 
@@ -299,11 +250,12 @@ pub fn type_ident(ty: &str) -> Option<String> {
         }
         break;
     }
-    let head = ident_prefix(s.rsplit("::").next().map_or(s, |last| {
+    let head = ident(s.rsplit("::").next().map_or(s, |last| {
         // `a::b::C<T>` — take the last path segment before generics.
         let prefix = s.split('<').next().unwrap_or(s);
         prefix.rsplit("::").next().unwrap_or(last)
-    }));
+    }))
+    .to_string();
     if head.is_empty() {
         return None;
     }
@@ -360,18 +312,21 @@ fn finish_signature(
     decl_line: usize,
 ) -> FnModel {
     let after_fn = sig.trim_start_matches("fn").trim_start();
-    let name = ident_prefix(after_fn);
+    let name = ident(after_fn).to_string();
     let params = signature_params(sig)
         .into_iter()
         .filter_map(|p| {
             let colon = p.find(':')?;
             let pname = p[..colon].trim().trim_start_matches("mut ").trim();
-            pname
-                .chars()
-                .all(is_ident_char)
-                .then(|| Param { name: pname.to_string(), ty: type_ident(&p[colon + 1..]) })
+            let ty = &p[colon + 1..];
+            pname.chars().all(is_ident_char).then(|| Param {
+                name: pname.to_string(),
+                ty: type_ident(ty),
+                lock: lock_kind(ty),
+            })
         })
         .collect();
+    let guard_returning = sig.rfind("->").is_some_and(|pos| sig[pos..].contains("Guard"));
     FnModel {
         name,
         impl_type,
@@ -380,28 +335,34 @@ fn finish_signature(
         file: file.to_string(),
         decl_line,
         params,
+        guard_returning,
         body: Vec::new(),
         sites: Vec::new(),
         locals: BTreeMap::new(),
     }
 }
 
+/// The name a `let [mut] name =` / `let name:` statement binds, and
+/// the text from its `=` or `:` on.
+pub fn let_bound(code: &str) -> Option<(&str, &str)> {
+    let rest = code.trim_start().strip_prefix("let ")?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let name = ident(rest);
+    let after = rest[name.len()..].trim_start();
+    (!name.is_empty() && after.starts_with(['=', ':'])).then_some((name, after))
+}
+
 /// Infer a `let` binding's type: `let x: T = …` or `let x = T::ctor(…)`
 /// or `let x = T { … }`.
 fn let_binding(code: &str) -> Option<(String, String)> {
-    let rest = code.trim_start().strip_prefix("let ")?;
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-    let name = ident_prefix(rest);
-    if name.is_empty() {
-        return None;
-    }
-    let after = rest[name.len()..].trim_start();
+    let (name, after) = let_bound(code)?;
+    let name = name.to_string();
     if let Some(annot) = after.strip_prefix(':') {
         let ty_text = annot.split('=').next().unwrap_or(annot);
         return type_ident(ty_text).map(|t| (name, t));
     }
     let rhs = after.strip_prefix('=')?.trim_start();
-    let head = ident_prefix(rhs);
+    let head = ident(rhs).to_string();
     if head.is_empty() || !head.starts_with(|c: char| c.is_ascii_uppercase()) {
         return None;
     }
@@ -409,21 +370,23 @@ fn let_binding(code: &str) -> Option<(String, String)> {
     (tail.starts_with("::") || tail.trim_start().starts_with('{')).then_some((name, head))
 }
 
-/// `name: Type,` struct field (optionally `pub`).
-fn field_decl(trimmed: &str) -> Option<(String, String)> {
+/// `name: Type,` struct field (optionally `pub`): the name and the
+/// type text.
+fn field_decl(trimmed: &str) -> Option<(String, &str)> {
     let body = trimmed.strip_prefix("pub ").unwrap_or(trimmed);
     let colon = body.find(':')?;
     let name = body[..colon].trim();
     if name.is_empty() || !name.chars().all(is_ident_char) {
         return None;
     }
-    let ty = type_ident(body[colon + 1..].trim_end_matches(['{', ','].as_ref()))?;
-    Some((name.to_string(), ty))
+    Some((name.to_string(), body[colon + 1..].trim_end_matches(['{', ','].as_ref())))
 }
 
 /// Group body lines into statement units by paren/bracket balance and
 /// mark cold (error-construction) units, then run the site detectors.
-fn finalize_fn(f: &mut FnModel, allow_lines: &BTreeMap<usize, &AllowMark>) {
+/// `allows` maps a line to the facts a justified `ams-audit` mark there
+/// names.
+fn finalize_fn(f: &mut FnModel, allows: &BTreeMap<usize, Vec<String>>) {
     // Unit assembly: a unit starts at depth 0 and extends while
     // `(`/`[` depth stays positive (braces open blocks, not
     // statements, and are ignored).
@@ -467,9 +430,7 @@ fn finalize_fn(f: &mut FnModel, allow_lines: &BTreeMap<usize, &AllowMark>) {
         let mut sites = detect_sites(&bl.code, bl.line_no, bl.cold_from);
         for s in &mut sites {
             let covered = [s.line, s.line.saturating_sub(1)].iter().any(|ln| {
-                allow_lines.get(ln).is_some_and(|m| {
-                    m.justified && m.fact_names.iter().any(|n| n == s.fact.as_str())
-                })
+                allows.get(ln).is_some_and(|facts| facts.iter().any(|n| n == s.fact.as_str()))
             });
             s.suppressed = covered;
         }
@@ -481,17 +442,9 @@ fn finalize_fn(f: &mut FnModel, allow_lines: &BTreeMap<usize, &AllowMark>) {
 /// test modules close each file in this repo.
 pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
     model.files += 1;
-    // Pass 1: collect every ams-audit allow marker with its line.
-    let mut file_marks: Vec<AllowMark> = Vec::new();
-    for (idx, raw) in content.lines().enumerate() {
-        if raw.trim_start().starts_with("#[cfg(test)") {
-            break;
-        }
-        if let Some(mark) = allow_marks(raw, label, idx + 1) {
-            file_marks.push(mark);
-        }
-    }
-    let allow_lines: BTreeMap<usize, &AllowMark> = file_marks.iter().map(|m| (m.line, m)).collect();
+    // A mark covers its own line and the next, so every mark a body
+    // line can use is recorded before its fn is finalized.
+    let mut allow_lines: BTreeMap<usize, Vec<String>> = BTreeMap::new();
 
     let mut struct_ctx: Option<(String, usize)> = None;
     let mut impl_ctx: Option<((String, Option<String>), usize)> = None;
@@ -499,12 +452,18 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
     let mut fn_ctx: Option<(FnModel, usize)> = None;
     let mut sig: Option<(String, usize, usize)> = None; // text, indent, decl line
 
-    for (idx, raw) in content.lines().enumerate() {
-        let line_no = idx + 1;
-        if raw.trim_start().starts_with("#[cfg(test)") {
+    for line in source::clean(content) {
+        let line_no = line.no;
+        let code = line.code.as_str();
+        if code.trim_start().starts_with("#[cfg(test)") {
             break;
         }
-        let code = strip_strings(code_part(raw));
+        if let Some(mark) = line.mark() {
+            if mark.tool == "audit" && mark.justified {
+                allow_lines.insert(line_no, mark.rules.clone());
+            }
+            model.marks.push((label.to_string(), mark));
+        }
         let trimmed = code.trim_start();
         if trimmed.is_empty() || trimmed.starts_with("#[") {
             continue;
@@ -524,7 +483,7 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
                 sig = None;
             } else if trimmed.ends_with(';') {
                 // Trait method declaration without a body.
-                let name = ident_prefix(text.trim_start_matches("fn").trim_start());
+                let name = ident(text.trim_start_matches("fn").trim_start()).to_string();
                 register_trait_method(model, &trait_ctx, &name);
                 sig = None;
             }
@@ -538,7 +497,7 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
                 finalize_fn(&mut f, &allow_lines);
                 model.fns.push(f);
             } else {
-                f.body.push(BodyLine { line_no, code: code.clone(), cold_from: None });
+                f.body.push(BodyLine { line_no, code: code.to_string(), cold_from: None });
             }
             continue;
         }
@@ -589,7 +548,7 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
                     fn_ctx = Some((f, indent));
                 }
             } else if rest.ends_with(';') {
-                let name = ident_prefix(rest.trim_start_matches("fn").trim_start());
+                let name = ident(rest.trim_start_matches("fn").trim_start()).to_string();
                 register_trait_method(model, &trait_ctx, &name);
             } else {
                 sig = Some((rest.to_string(), indent, line_no));
@@ -620,7 +579,12 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
 
         if let Some((s_name, _)) = &struct_ctx {
             if let Some((field, ty)) = field_decl(trimmed) {
-                model.fields.entry(s_name.clone()).or_default().insert(field, ty);
+                if let Some(kind) = lock_kind(ty) {
+                    model.locks.entry(s_name.clone()).or_default().insert(field.clone(), kind);
+                }
+                if let Some(ty) = type_ident(ty) {
+                    model.fields.entry(s_name.clone()).or_default().insert(field, ty);
+                }
             }
         }
     }
@@ -628,7 +592,6 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
         finalize_fn(&mut f, &allow_lines);
         model.fns.push(f);
     }
-    model.marks.extend(file_marks);
 }
 
 /// The `(impl_type, trait_impl, is_trait_default)` triple for a fn
@@ -754,7 +717,7 @@ mod tests {
         // The bare allow carries no justification: it must NOT suppress.
         assert!(!by_line[&6]);
         assert_eq!(m.marks.len(), 2);
-        assert!(m.marks.iter().any(|mk| !mk.justified));
+        assert!(m.marks.iter().any(|(_, mk)| !mk.justified));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! ams-check [--root DIR] [--format text|json]          lint the workspace
-//! ams-check [--conc] [--root DIR]                      lint + lock-order pass
 //! ams-check lint [PATHS...] [--format text|json]       lint specific files
-//! ams-check conc [PATHS...] [--format text|json]       lock-order analysis
+//! ams-check conc [PATHS...] [--bench FILE]             lock-order analysis
 //! ams-check plan FILE... [--format text|json]          audit JSON plan specs
 //! ams-check audit [PATHS...] [--config FILE] [--bench FILE]
 //!                                                      whole-program hot-path audit
@@ -12,18 +11,17 @@
 //!                                                      untrusted-input taint audit
 //! ```
 //!
-//! `conc` with no paths analyzes the workspace concurrency surface
-//! (`crates/serve/src`, `crates/runtime/src`); with paths it analyzes
-//! exactly those files. `--conc` appends the same workspace pass to
-//! the default lint run.
+//! `conc` with no paths analyzes the production sources of the
+//! workspace under `--root` (the file set `taint` reads); with paths
+//! it analyzes exactly those files.
 //!
 //! `audit` with no paths parses every workspace source under `--root`
 //! and checks the hot-path roots declared in `<root>/audit.toml`
 //! (override with `--config`); with paths it audits exactly those
 //! files, and `--config` is required. `taint` works the same way
 //! against `<root>/taint.toml` source/sink/sanitizer declarations.
-//! `--bench FILE` merges wall-time and graph-size statistics into a
-//! JSONL file, one line per tool.
+//! `--bench FILE` merges wall-time and graph-size statistics of
+//! `conc`, `audit` or `taint` into a JSONL file, one line per tool.
 //!
 //! Exit codes (stable, documented in README):
 //!   0  clean, or warnings/infos only
@@ -31,14 +29,15 @@
 //!   2  internal failure: bad arguments, unreadable file, invalid spec
 
 use ams_analyze::conc::lockorder;
-use ams_analyze::{audit, lint, plan_io, taint, Report};
+use ams_analyze::{audit, lint, plan_io, source, taint, Report};
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
-const USAGE: &str = "usage: ams-check [--conc] [--root DIR] [--format text|json]
+const USAGE: &str = "usage: ams-check [--root DIR] [--format text|json]
        ams-check lint [PATHS...] [--format text|json]
-       ams-check conc [PATHS...] [--format text|json]
+       ams-check conc [PATHS...] [--bench FILE] [--format text|json]
        ams-check plan FILE... [--format text|json]
        ams-check audit [PATHS...] [--config FILE] [--bench FILE] [--format text|json]
        ams-check taint [PATHS...] [--config FILE] [--bench FILE] [--format text|json]";
@@ -49,33 +48,29 @@ enum Format {
 }
 
 struct Cli {
-    command: Command,
+    tool: Tool,
+    /// Explicit inputs; empty means the workspace under `root`.
+    paths: Vec<PathBuf>,
     format: Format,
     root: PathBuf,
-    /// `--conc`: also run the lock-order pass after a workspace lint.
-    conc: bool,
-    /// `--config`: audit.toml location (audit only).
+    /// `--config`: audit.toml / taint.toml location.
     config: Option<PathBuf>,
-    /// `--bench`: write audit wall-time / graph-size stats here.
+    /// `--bench`: write wall-time / graph-size stats here.
     bench: Option<PathBuf>,
 }
 
-enum Command {
-    LintWorkspace,
-    LintPaths(Vec<PathBuf>),
-    ConcWorkspace,
-    ConcPaths(Vec<PathBuf>),
-    Plan(Vec<PathBuf>),
-    AuditWorkspace,
-    AuditPaths(Vec<PathBuf>),
-    TaintWorkspace,
-    TaintPaths(Vec<PathBuf>),
+#[derive(Clone, Copy, PartialEq)]
+enum Tool {
+    Lint,
+    Conc,
+    Plan,
+    Audit,
+    Taint,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut conc = false;
     let mut config: Option<PathBuf> = None;
     let mut bench: Option<PathBuf> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -99,100 +94,62 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 Some(file) => bench = Some(PathBuf::from(file)),
                 None => return Err("--bench expects a file".to_string()),
             },
-            "--conc" => conc = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             other => positional.push(other.to_string()),
         }
     }
-    let command = match positional.split_first() {
-        None => Command::LintWorkspace,
-        Some((cmd, rest)) => match cmd.as_str() {
-            "lint" if rest.is_empty() => Command::LintWorkspace,
-            "lint" => Command::LintPaths(rest.iter().map(PathBuf::from).collect()),
-            "conc" if rest.is_empty() => Command::ConcWorkspace,
-            "conc" => Command::ConcPaths(rest.iter().map(PathBuf::from).collect()),
-            "plan" if rest.is_empty() => return Err("plan: expected at least one FILE".to_string()),
-            "plan" => Command::Plan(rest.iter().map(PathBuf::from).collect()),
-            "audit" if rest.is_empty() => Command::AuditWorkspace,
-            "audit" => Command::AuditPaths(rest.iter().map(PathBuf::from).collect()),
-            "taint" if rest.is_empty() => Command::TaintWorkspace,
-            "taint" => Command::TaintPaths(rest.iter().map(PathBuf::from).collect()),
-            other => return Err(format!("unknown command `{other}`\n{USAGE}")),
-        },
+    let (cmd, rest) = positional.split_first().map_or(("lint", &[][..]), |(c, r)| (c.as_str(), r));
+    let tool = match cmd {
+        "lint" => Tool::Lint,
+        "conc" => Tool::Conc,
+        "plan" => Tool::Plan,
+        "audit" => Tool::Audit,
+        "taint" => Tool::Taint,
+        other => return Err(format!("unknown command `{other}`\n{USAGE}")),
     };
-    if conc && !matches!(command, Command::LintWorkspace) {
-        return Err("--conc only applies to the default workspace lint; \
-                    use the `conc` subcommand for explicit paths"
-            .to_string());
+    let paths: Vec<PathBuf> = rest.iter().map(PathBuf::from).collect();
+    let configurable = matches!(tool, Tool::Audit | Tool::Taint);
+    if tool == Tool::Plan && paths.is_empty() {
+        return Err("plan: expected at least one FILE".to_string());
     }
-    let configurable = matches!(
-        command,
-        Command::AuditWorkspace
-            | Command::AuditPaths(_)
-            | Command::TaintWorkspace
-            | Command::TaintPaths(_)
-    );
     if config.is_some() && !configurable {
         return Err("--config only applies to the `audit`/`taint` subcommands".to_string());
     }
-    if bench.is_some() && !configurable {
-        return Err("--bench only applies to the `audit`/`taint` subcommands".to_string());
+    if bench.is_some() && !configurable && tool != Tool::Conc {
+        return Err("--bench only applies to the `conc`/`audit`/`taint` subcommands".to_string());
     }
-    if config.is_none() && matches!(command, Command::AuditPaths(_)) {
-        return Err("audit with explicit paths needs --config FILE".to_string());
+    if config.is_none() && configurable && !paths.is_empty() {
+        return Err(format!("{cmd} with explicit paths needs --config FILE"));
     }
-    if config.is_none() && matches!(command, Command::TaintPaths(_)) {
-        return Err("taint with explicit paths needs --config FILE".to_string());
-    }
-    Ok(Cli {
-        command,
-        format,
-        root: root.unwrap_or_else(|| PathBuf::from(".")),
-        conc,
-        config,
-        bench,
-    })
+    let root = root.unwrap_or_else(|| PathBuf::from("."));
+    Ok(Cli { tool, paths, format, root, config, bench })
 }
 
-/// Run the audit, optionally recording wall-time and graph-size
-/// stats (`--bench`) for `results/BENCH_check.json`.
-fn run_audit(cli: &Cli) -> Result<Report, String> {
-    let config = match &cli.config {
-        Some(c) => c.clone(),
-        None => cli.root.join("audit.toml"),
-    };
-    let started = std::time::Instant::now();
-    let (report, stats) = match &cli.command {
-        Command::AuditPaths(paths) => {
-            let text = std::fs::read_to_string(&config)
-                .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
-            let roots = audit::config::parse(&text)?;
-            audit::audit_files(&cli.root, paths, &roots)?
-        }
-        _ => audit::audit_workspace(&cli.root, &config)?,
-    };
+/// The `--config` file, defaulting to `<root>/<default>`.
+fn config_path(cli: &Cli, default: &str) -> PathBuf {
+    cli.config.clone().unwrap_or_else(|| cli.root.join(default))
+}
+
+/// Read the `--config` file for an explicit-paths run.
+fn read_config(cli: &Cli, default: &str) -> Result<String, String> {
+    let config = config_path(cli, default);
+    std::fs::read_to_string(&config).map_err(|e| format!("cannot read {}: {e}", config.display()))
+}
+
+/// Merge one tool's stats line — wall time since `started`, then
+/// `counts` — into the `--bench` JSONL file, preserving the other
+/// tools' lines (conc, audit and taint share `results/BENCH_check.json`).
+fn record(cli: &Cli, tool: &str, started: Instant, counts: &[(&str, usize)]) -> Result<(), String> {
+    let Some(bench) = &cli.bench else { return Ok(()) };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    if let Some(bench) = &cli.bench {
-        let json = Value::Object(vec![
-            ("tool".to_string(), Value::String("ams-check audit".to_string())),
-            ("wall_ms".to_string(), Value::Number((wall_ms * 1e3).round() / 1e3)),
-            ("files".to_string(), Value::Number(stats.files as f64)),
-            ("functions".to_string(), Value::Number(stats.functions as f64)),
-            ("edges".to_string(), Value::Number(stats.edges as f64)),
-            ("roots".to_string(), Value::Number(stats.roots as f64)),
-            ("violations".to_string(), Value::Number(stats.violations as f64)),
-        ]);
-        write_bench_line(bench, "ams-check audit", &json)?;
-    }
-    Ok(report)
-}
-
-/// Merge one tool's stats line into a JSONL bench file, preserving
-/// the other tools' lines (audit and taint share
-/// `results/BENCH_check.json`).
-fn write_bench_line(bench: &Path, tool: &str, json: &Value) -> Result<(), String> {
-    let rendered = serde_json::to_string(json).map_err(|e| format!("bench JSON: {e:?}"))?;
+    let mut fields = vec![
+        ("tool".to_string(), Value::String(tool.to_string())),
+        ("wall_ms".to_string(), Value::Number((wall_ms * 1e3).round() / 1e3)),
+    ];
+    fields.extend(counts.iter().map(|&(k, v)| (k.to_string(), Value::Number(v as f64))));
+    let rendered =
+        serde_json::to_string(&Value::Object(fields)).map_err(|e| format!("bench JSON: {e:?}"))?;
     let marker = format!("\"tool\":\"{tool}\"");
     let mut lines: Vec<String> = match std::fs::read_to_string(bench) {
         Ok(text) => text.lines().filter(|l| !l.contains(&marker)).map(String::from).collect(),
@@ -203,62 +160,19 @@ fn write_bench_line(bench: &Path, tool: &str, json: &Value) -> Result<(), String
         .map_err(|e| format!("cannot write {}: {e}", bench.display()))
 }
 
-/// Run the taint audit, optionally merging its stats line into the
-/// shared bench file.
-fn run_taint(cli: &Cli) -> Result<Report, String> {
-    let config = match &cli.config {
-        Some(c) => c.clone(),
-        None => cli.root.join("taint.toml"),
-    };
-    let started = std::time::Instant::now();
-    let (report, stats) = match &cli.command {
-        Command::TaintPaths(paths) => {
-            let text = std::fs::read_to_string(&config)
-                .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
-            let cfg = taint::config::parse(&text)?;
-            taint::taint_files(&cli.root, paths, &cfg)?
-        }
-        _ => taint::taint_workspace(&cli.root, &config)?,
-    };
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    if let Some(bench) = &cli.bench {
-        let json = Value::Object(vec![
-            ("tool".to_string(), Value::String("ams-check taint".to_string())),
-            ("wall_ms".to_string(), Value::Number((wall_ms * 1e3).round() / 1e3)),
-            ("files".to_string(), Value::Number(stats.files as f64)),
-            ("functions".to_string(), Value::Number(stats.functions as f64)),
-            ("edges".to_string(), Value::Number(stats.edges as f64)),
-            ("sources".to_string(), Value::Number(stats.sources as f64)),
-            ("violations".to_string(), Value::Number(stats.violations as f64)),
-        ]);
-        write_bench_line(bench, "ams-check taint", &json)?;
-    }
-    Ok(report)
-}
-
 fn run(cli: &Cli) -> Result<Report, String> {
     let mut report = Report::new();
-    match &cli.command {
-        Command::LintWorkspace => {
-            report.extend(lint::lint_workspace(&cli.root)?);
-            if cli.conc {
-                report.extend(lockorder::check_workspace(&cli.root)?);
+    let workspace = cli.paths.is_empty();
+    let started = Instant::now();
+    match cli.tool {
+        Tool::Lint if workspace => report.extend(lint::lint_workspace(&cli.root)?),
+        Tool::Lint => {
+            for (label, content) in source::load(&cli.root, &cli.paths)? {
+                report.extend(lint::lint_source(&label, &content));
             }
         }
-        Command::LintPaths(paths) => {
-            for path in paths {
-                let label = path.to_string_lossy().replace('\\', "/");
-                report.extend(lint::lint_file(path, &label)?);
-            }
-        }
-        Command::ConcWorkspace => {
-            report.extend(lockorder::check_workspace(&cli.root)?);
-        }
-        Command::ConcPaths(paths) => {
-            report.extend(lockorder::check_files(&cli.root, paths)?);
-        }
-        Command::Plan(files) => {
-            for file in files {
+        Tool::Plan => {
+            for file in &cli.paths {
                 let json = std::fs::read_to_string(file)
                     .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
                 let audit =
@@ -266,11 +180,54 @@ fn run(cli: &Cli) -> Result<Report, String> {
                 report.extend(ams_analyze::analyze(&audit).diagnostics);
             }
         }
-        Command::AuditWorkspace | Command::AuditPaths(_) => {
-            report = run_audit(cli)?;
+        Tool::Conc => {
+            let (diags, stats) = if workspace {
+                lockorder::check_workspace(&cli.root)?
+            } else {
+                lockorder::analyze(&source::load(&cli.root, &cli.paths)?)
+            };
+            report.extend(diags);
+            let counts = [
+                ("files", stats.files),
+                ("functions", stats.functions),
+                ("acquisitions", stats.acquisitions),
+                ("edges", stats.edges),
+            ];
+            record(cli, "ams-check conc", started, &counts)?;
         }
-        Command::TaintWorkspace | Command::TaintPaths(_) => {
-            report = run_taint(cli)?;
+        Tool::Audit => {
+            let (audited, stats) = if workspace {
+                audit::audit_workspace(&cli.root, &config_path(cli, "audit.toml"))?
+            } else {
+                let roots = audit::config::parse(&read_config(cli, "audit.toml")?)?;
+                audit::audit_sources(&source::load(&cli.root, &cli.paths)?, &roots)
+            };
+            report = audited;
+            let counts = [
+                ("files", stats.files),
+                ("functions", stats.functions),
+                ("edges", stats.edges),
+                ("roots", stats.roots),
+                ("violations", stats.violations),
+            ];
+            record(cli, "ams-check audit", started, &counts)?;
+        }
+        Tool::Taint => {
+            let (tainted, stats) = if workspace {
+                taint::taint_workspace(&cli.root, &config_path(cli, "taint.toml"))?
+            } else {
+                let cfg = taint::config::parse(&read_config(cli, "taint.toml")?)?;
+                taint::taint_sources(&source::load(&cli.root, &cli.paths)?, &cfg)
+            };
+            report = tainted;
+            let counts = [
+                ("files", stats.files),
+                ("functions", stats.functions),
+                ("edges", stats.edges),
+                ("sources", stats.sources),
+                ("violations", stats.violations),
+            ];
+            record(cli, "ams-check taint", started, &counts)?;
         }
     }
     report.sort();
@@ -291,21 +248,17 @@ fn emit(report: &Report, format: &Format, checked: &str) {
 }
 
 fn describe(cli: &Cli) -> String {
-    match &cli.command {
-        Command::LintWorkspace if cli.conc => {
-            format!("workspace at {} (+ lock-order)", cli.root.display())
-        }
-        Command::LintWorkspace => format!("workspace at {}", cli.root.display()),
-        Command::LintPaths(paths) => format!("{} file(s)", paths.len()),
-        Command::ConcWorkspace => {
-            format!("concurrency surface of workspace at {}", cli.root.display())
-        }
-        Command::ConcPaths(paths) => format!("{} file(s) (lock-order)", paths.len()),
-        Command::Plan(files) => format!("{} plan spec(s)", files.len()),
-        Command::AuditWorkspace => format!("hot-path audit of workspace at {}", cli.root.display()),
-        Command::AuditPaths(paths) => format!("{} file(s) (hot-path audit)", paths.len()),
-        Command::TaintWorkspace => format!("taint audit of workspace at {}", cli.root.display()),
-        Command::TaintPaths(paths) => format!("{} file(s) (taint audit)", paths.len()),
+    let (of, files) = match cli.tool {
+        Tool::Lint => ("", ""),
+        Tool::Conc => ("lock-order of ", " (lock-order)"),
+        Tool::Plan => return format!("{} plan spec(s)", cli.paths.len()),
+        Tool::Audit => ("hot-path audit of ", " (hot-path audit)"),
+        Tool::Taint => ("taint audit of ", " (taint audit)"),
+    };
+    if cli.paths.is_empty() {
+        format!("{of}workspace at {}", cli.root.display())
+    } else {
+        format!("{} file(s){files}", cli.paths.len())
     }
 }
 
@@ -319,14 +272,7 @@ fn main() -> ExitCode {
         }
     };
     // Sanity-check the root early so a typo'd --root is a clean 2.
-    if matches!(
-        cli.command,
-        Command::LintWorkspace
-            | Command::ConcWorkspace
-            | Command::AuditWorkspace
-            | Command::TaintWorkspace
-    ) && !Path::new(&cli.root).is_dir()
-    {
+    if cli.paths.is_empty() && !Path::new(&cli.root).is_dir() {
         eprintln!("ams-check: --root {} is not a directory", cli.root.display());
         return ExitCode::from(2);
     }

@@ -1,12 +1,10 @@
-//! Static lock-order analysis over the serving/runtime concurrency
-//! surface.
+//! Static lock-order analysis.
 //!
-//! Same philosophy as [`crate::lint`]: no `syn`, no parsing — a
-//! line/token extractor that leans on the conventions rustfmt enforces
-//! throughout this repo (indentation tracks block structure, one
-//! statement per line, `#[cfg(test)]` modules close each file). From
-//! each function in the analyzed set it extracts which `Mutex` /
-//! `RwLock` objects are acquired and in what nesting order, then:
+//! Runs on the per-function model and call graph the audit and taint
+//! passes share ([`crate::audit::model`], [`crate::audit::graph`]), so
+//! it sees the same functions, receiver types and calls. It extracts
+//! which `Mutex` / `RwLock` objects each function acquires and in what
+//! nesting order, then:
 //!
 //! * builds the global acquisition-order graph (an edge `A → B` means
 //!   some function acquires `B` while holding `A`) and reports every
@@ -16,29 +14,39 @@
 //!   (`no-lock-across-io`): a stalled peer must never pin a lock.
 //!
 //! What counts as a lock object: a struct field of `Mutex`/`RwLock`
-//! type (identified as `Struct.field`), or a function parameter whose
-//! type mentions `Mutex<`/`RwLock<` (identified as `fn.param`).
-//! Acquisitions recognized: `chain.lock()`, `chain.read()` /
-//! `chain.write()` when the chain resolves to a declared `RwLock`
-//! field, a call to a same-file guard-returning helper (the
-//! `fn lock(&self) -> MutexGuard<…>` pattern of `serve::breaker`, or
-//! the free `lock(&mutex)` wrapper of `runtime::pool`), and — one call
-//! level deep — a same-file helper that acquires internally.
+//! type (identified as `Struct.field`), or a lock-typed function
+//! parameter (identified as `fn.param`). A receiver chain resolves
+//! through typed params, locals and field maps
+//! ([`graph::chain_type`]); when the owner's type is unknown, a field
+//! name that exactly one struct declares as a lock still resolves.
+//! Direct acquisitions are `chain.lock()`, and `chain.read()` /
+//! `chain.write()` on an `RwLock`. Receivers that cannot be resolved
+//! are skipped (conservative: this pass under-reports rather than
+//! inventing edges).
+//!
+//! Calls are followed to any depth and across files by a bottom-up
+//! summary over the call graph's SCC condensation: the locks a function
+//! acquires and whether it reaches blocking I/O, each with its shortest
+//! call chain. One rule covers guard helpers (`breaker`'s `self.lock()`,
+//! `pool`'s free `lock(&m)`): a call to a guard-returning fn acquires
+//! what that fn acquires, with a lock parameter replaced by the
+//! caller's argument, and the guard stays held like a direct one. Any
+//! other callee releases its locks before returning: they order after
+//! everything held at the call, but are not held afterwards.
 //!
 //! Guard liveness is indentation-scoped: a `let`-bound guard lives
 //! until the surrounding block dedents below its binding, a
 //! block-opening acquisition (`match x.lock() {`) until its block
 //! closes, anything else for its own statement; `drop(guard)` ends a
-//! binding early. Receivers that cannot be resolved to a declared lock
-//! are skipped (conservative: this pass under-reports rather than
-//! inventing edges). Findings are suppressed by `// ams-lint:
+//! binding early. Findings are suppressed by `// ams-lint:
 //! allow(rule)` on the line or the line above, exactly like the lint
 //! engine.
 
+use crate::audit::graph::{self, CallGraph};
+use crate::audit::model::{self, BodyLine, FnModel, LockKind, WorkspaceModel};
 use crate::diagnostic::{Diagnostic, Location};
-use crate::lint::{allowed_rules, code_part, workspace_sources};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fs;
+use crate::source::{self, balanced, ident, is_ident_byte, split_args, token_positions};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::Path;
 
 /// Blocking I/O calls a live guard must not span. `.read()`/`.write()`
@@ -58,13 +66,6 @@ const IO_CALLS: [&str; 10] = [
     ".recv()",
 ];
 
-/// Kind of a declared lock object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    Mutex,
-    RwLock,
-}
-
 /// One acquisition-order observation: `to` acquired while `from` held.
 #[derive(Debug, Clone)]
 pub struct Edge {
@@ -72,6 +73,8 @@ pub struct Edge {
     pub to: String,
     pub file: String,
     pub line: usize,
+    /// The acquiring function, or the call chain `f → g → h` down to
+    /// the function that takes `to`.
     pub function: String,
     /// An `ams-lint: allow(lock-order-cycle)` sat on the acquisition
     /// line; the edge is kept for provenance but removed from the
@@ -79,391 +82,51 @@ pub struct Edge {
     pub suppressed: bool,
 }
 
-/// A function parameter that is itself a lock object.
-#[derive(Debug, Clone)]
-struct ParamLock {
-    name: String,
-    kind: LockKind,
+/// Run statistics, recorded into `results/BENCH_check.json` by the
+/// `--bench` flag.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConcStats {
+    pub files: usize,
+    pub functions: usize,
+    /// Acquisition sites resolved to a named lock, guard-helper calls
+    /// included.
+    pub acquisitions: usize,
+    /// Acquisition-order observations ([`Edge`]s).
+    pub edges: usize,
 }
 
-#[derive(Debug, Clone)]
-struct BodyLine {
-    line_no: usize,
-    indent: usize,
-    code: String,
-    allowed: HashSet<String>,
+/// A lock as a summary records it: a named object, or whatever the
+/// caller passes as lock parameter `k`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Lock {
+    Named(String),
+    Param(usize),
 }
 
-#[derive(Debug, Clone)]
-struct FnModel {
-    name: String,
-    impl_type: Option<String>,
-    params: Vec<ParamLock>,
-    /// Return type mentions a guard — calling this helper acquires.
-    guard_returning: bool,
-    body: Vec<BodyLine>,
+/// What calling a function does, transitively. Each entry carries its
+/// call chain below the function (callee first, ending at the function
+/// that acts; empty when it acts itself).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Summary {
+    locks: BTreeMap<Lock, Vec<String>>,
+    io: Option<(&'static str, Vec<String>)>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct FileModel {
-    label: String,
-    fns: Vec<FnModel>,
-}
-
-/// Declared lock fields across the analyzed set: field name → every
-/// `(struct, kind)` declaring it. BTreeMap for deterministic output.
-type Decls = BTreeMap<String, Vec<(String, LockKind)>>;
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// The `a.b.c` receiver chain ending just before byte `end` of `code`.
-fn chain_before(code: &str, end: usize) -> String {
-    let bytes = code.as_bytes();
-    let mut start = end;
-    while start > 0 {
-        let c = bytes[start - 1] as char;
-        if is_ident_char(c) || c == '.' {
-            start -= 1;
-        } else {
-            break;
-        }
-    }
-    code[start..end].trim_matches('.').to_string()
-}
-
-/// Parse one file into lock declarations and function models. Stops at
-/// `#[cfg(test)` — test modules close each file in this repo.
-fn parse_file(label: &str, content: &str, decls: &mut Decls) -> FileModel {
-    let mut model = FileModel { label: label.to_string(), fns: Vec::new() };
-    let mut struct_ctx: Option<(String, usize)> = None;
-    let mut impl_ctx: Option<(String, usize)> = None;
-    let mut fn_ctx: Option<(FnModel, usize)> = None;
-    let mut sig: Option<(String, usize)> = None; // accumulating signature
-    let mut prev_allowed: HashSet<String> = HashSet::new();
-
-    for (idx, raw) in content.lines().enumerate() {
-        let line_no = idx + 1;
-        if raw.trim_start().starts_with("#[cfg(test)") {
-            break;
-        }
-        let mut allowed = allowed_rules(raw);
-        allowed.extend(prev_allowed.drain());
-        prev_allowed = allowed_rules(raw);
-        let code = code_part(raw);
-        let trimmed = code.trim_start();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let indent = code.len() - trimmed.len();
-        let trimmed = trimmed.trim_end();
-
-        if let Some((text, fn_indent)) = &mut sig {
-            text.push(' ');
-            text.push_str(trimmed);
-            if trimmed.contains('{') {
-                let f = finish_signature(text, impl_ctx.as_ref().map(|(t, _)| t.clone()));
-                fn_ctx = Some((f, *fn_indent));
-                sig = None;
-            } else if trimmed.ends_with(';') {
-                sig = None; // trait method declaration — no body
-            }
-            continue;
-        }
-
-        if let Some((f, fn_indent)) = &mut fn_ctx {
-            if trimmed == "}" && indent == *fn_indent {
-                model.fns.push(fn_ctx.take().expect("fn context").0);
-            } else {
-                f.body.push(BodyLine {
-                    line_no,
-                    indent,
-                    code: code.to_string(),
-                    allowed: allowed.clone(),
-                });
-            }
-            continue;
-        }
-
-        if let Some((_, s_indent)) = &struct_ctx {
-            if trimmed == "}" && indent == *s_indent {
-                struct_ctx = None;
-                continue;
-            }
-        }
-        if let Some((_, i_indent)) = &impl_ctx {
-            if trimmed == "}" && indent == *i_indent {
-                impl_ctx = None;
-                continue;
-            }
-        }
-
-        if let Some(rest) = fn_decl(trimmed) {
-            if rest.contains('{') {
-                let f = finish_signature(rest, impl_ctx.as_ref().map(|(t, _)| t.clone()));
-                fn_ctx = Some((f, indent));
-            } else if !rest.ends_with(';') {
-                sig = Some((rest.to_string(), indent));
-            }
-            continue;
-        }
-
-        if let Some(name) = struct_decl(trimmed) {
-            if trimmed.ends_with('{') {
-                struct_ctx = Some((name, indent));
-            }
-            continue;
-        }
-        if let Some(name) = impl_decl(trimmed) {
-            impl_ctx = Some((name, indent));
-            continue;
-        }
-
-        if let Some((s_name, _)) = &struct_ctx {
-            if let Some((field, kind)) = field_lock(trimmed) {
-                decls.entry(field).or_default().push((s_name.clone(), kind));
-            }
-        }
-    }
-    if let Some((f, _)) = fn_ctx {
-        model.fns.push(f);
-    }
-    model
-}
-
-/// The signature text from `fn` onward, if this line starts a fn item.
-fn fn_decl(trimmed: &str) -> Option<&str> {
-    let pos = trimmed.find("fn ")?;
-    if pos > 0 {
-        let before = &trimmed[..pos];
-        let all_qualifier =
-            before.chars().all(|c| c.is_ascii_alphabetic() || c == ' ' || c == '(' || c == ')');
-        if is_ident_char(before.chars().next_back().unwrap_or(' ')) || !all_qualifier {
-            return None; // not a leading `pub`/`pub(crate)`/`const`/`unsafe` chain
-        }
-    }
-    Some(&trimmed[pos..])
-}
-
-fn struct_decl(trimmed: &str) -> Option<String> {
-    let pos = trimmed.find("struct ")?;
-    if !trimmed[..pos].chars().all(|c| c.is_ascii_alphabetic() || c == ' ' || c == '(' || c == ')')
-    {
-        return None;
-    }
-    let rest = &trimmed[pos + "struct ".len()..];
-    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-    (!name.is_empty()).then_some(name)
-}
-
-fn impl_decl(trimmed: &str) -> Option<String> {
-    let rest = trimmed.strip_prefix("impl")?;
-    let rest = rest.trim_start_matches(|c| c != ' ').trim_start(); // skip `<…>` generics
-                                                                   // `impl Trait for Type {` names the type; `impl Type {` does too.
-    let rest = match rest.find(" for ") {
-        Some(pos) => &rest[pos + " for ".len()..],
-        None => rest,
-    };
-    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-    (!name.is_empty()).then_some(name)
-}
-
-/// `name: …Mutex<…>` / `…RwLock<…>` struct field.
-fn field_lock(trimmed: &str) -> Option<(String, LockKind)> {
-    let body = trimmed.strip_prefix("pub ").unwrap_or(trimmed);
-    let colon = body.find(':')?;
-    let name = body[..colon].trim();
-    if name.is_empty() || !name.chars().all(is_ident_char) {
-        return None;
-    }
-    let ty = &body[colon + 1..];
-    let kind = lock_kind(ty)?;
-    Some((name.to_string(), kind))
-}
-
-fn lock_kind(ty: &str) -> Option<LockKind> {
-    // RwLock first: `RwLock<…>` contains no `Mutex<`, but check
-    // explicitly so an exotic `Mutex<RwLock<…>>` maps to the outer.
-    let m = ty.find("Mutex<");
-    let r = ty.find("RwLock<");
-    match (m, r) {
-        (Some(mp), Some(rp)) => Some(if mp < rp { LockKind::Mutex } else { LockKind::RwLock }),
-        (Some(_), None) => Some(LockKind::Mutex),
-        (None, Some(_)) => Some(LockKind::RwLock),
-        (None, None) => None,
-    }
-}
-
-/// Build a [`FnModel`] from an accumulated signature (`fn …` through
-/// the opening `{`).
-fn finish_signature(sig: &str, impl_type: Option<String>) -> FnModel {
-    let after_fn = sig.trim_start_matches("fn").trim_start();
-    let name: String = after_fn.chars().take_while(|&c| is_ident_char(c)).collect();
-    let params = signature_params(sig)
-        .into_iter()
-        .filter_map(|p| {
-            let colon = p.find(':')?;
-            let pname = p[..colon].trim().trim_start_matches("mut ").trim();
-            let kind = lock_kind(&p[colon + 1..])?;
-            pname.chars().all(is_ident_char).then(|| ParamLock { name: pname.to_string(), kind })
-        })
-        .collect();
-    let guard_returning = match sig.rfind("->") {
-        Some(pos) => sig[pos..].contains("Guard"),
-        None => false,
-    };
-    FnModel { name, impl_type, params, guard_returning, body: Vec::new() }
-}
-
-/// Split a signature's parameter list on top-level commas.
-fn signature_params(sig: &str) -> Vec<String> {
-    let open = match sig.find('(') {
-        Some(p) => p,
-        None => return Vec::new(),
-    };
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut depth = 0i32;
-    for c in sig[open + 1..].chars() {
-        match c {
-            '(' | '<' | '[' => depth += 1,
-            ')' | '>' | ']' => {
-                if c == ')' && depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            ',' if depth == 0 => {
-                out.push(std::mem::take(&mut cur));
-                continue;
-            }
-            _ => {}
-        }
-        cur.push(c);
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// Resolve a receiver chain to a lock id, or `None` (conservative).
-fn resolve_chain(chain: &str, f: &FnModel, decls: &Decls) -> Option<String> {
-    if chain.is_empty() || chain == "self" {
-        return None;
-    }
-    let segments: Vec<&str> = chain.split('.').collect();
-    let last = *segments.last()?;
-    if segments.len() == 1 && f.params.iter().any(|p| p.name == last) {
-        return Some(format!("{}.{last}", f.name));
-    }
-    let candidates = decls.get(last)?;
-    if segments.first() == Some(&"self") {
-        if let Some(t) = &f.impl_type {
-            if candidates.iter().any(|(s, _)| s == t) {
-                return Some(format!("{t}.{last}"));
-            }
-        }
-    }
-    match candidates.as_slice() {
-        [(s, _)] => Some(format!("{s}.{last}")),
-        _ => None, // ambiguous across structs: skip rather than guess
-    }
-}
-
-/// One acquisition found on a line: the lock and where the match ends
-/// (used to order multiple acquisitions left to right).
-struct Acq {
-    lock: String,
+/// A lock taken on a body line, at byte `at`.
+struct Taken {
     at: usize,
+    lock: Lock,
+    chain: Vec<String>,
+    /// The guard outlives the expression: a direct acquisition or a
+    /// guard-returning callee.
+    holds: bool,
 }
 
-/// Direct acquisitions of `f` (no helper propagation) — the summary
-/// one-level call propagation consumes.
-fn direct_locks(f: &FnModel, decls: &Decls, file: &FileModel) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for line in &f.body {
-        for acq in line_acquisitions(&line.code, f, decls, file, false) {
-            out.insert(acq.lock);
-        }
-    }
-    out
-}
-
-/// Every acquisition on `code`, left to right. With `with_helpers` the
-/// guard-returning same-file helpers count too (used by the full
-/// replay; the direct pass leaves them out to stay one level deep).
-fn line_acquisitions(
-    code: &str,
-    f: &FnModel,
-    decls: &Decls,
-    file: &FileModel,
-    with_helpers: bool,
-) -> Vec<Acq> {
-    let mut out = Vec::new();
-    for (needle, rw_only) in [(".lock()", false), (".read()", true), (".write()", true)] {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(needle) {
-            let at = from + pos;
-            let chain = chain_before(code, at);
-            if let Some(lock) = resolve_chain(&chain, f, decls) {
-                let is_rw = lock_id_kind(&lock, f, decls) == Some(LockKind::RwLock);
-                if !rw_only || is_rw {
-                    out.push(Acq { lock, at });
-                }
-            } else if with_helpers && chain == "self" && needle == ".lock()" {
-                // `self.lock()` → a guard-returning helper method.
-                out.extend(helper_locks(file, "lock", at, decls));
-            }
-            from = at + needle.len();
-        }
-    }
-    if with_helpers {
-        // Free guard-returning wrapper: `lock(&chain)` and friends.
-        for helper in file.fns.iter().filter(|h| h.guard_returning && h.name != f.name) {
-            let pat = format!("{}(&", helper.name);
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(&pat) {
-                let at = from + pos;
-                let pre_ok = at == 0 || {
-                    let c = code.as_bytes()[at - 1] as char;
-                    !is_ident_char(c) && c != '.'
-                };
-                if pre_ok {
-                    let arg_start = at + pat.len();
-                    let arg: String = code[arg_start..]
-                        .chars()
-                        .take_while(|&c| is_ident_char(c) || c == '.')
-                        .collect();
-                    if let Some(lock) = resolve_chain(&arg, f, decls) {
-                        out.push(Acq { lock, at });
-                    }
-                }
-                from = at + pat.len();
-            }
-        }
-    }
-    out.sort_by_key(|a| a.at);
-    out
-}
-
-/// Locks acquired by the same-file guard-returning method `name`.
-fn helper_locks(file: &FileModel, name: &str, at: usize, decls: &Decls) -> Vec<Acq> {
-    file.fns
-        .iter()
-        .filter(|h| h.name == name && h.guard_returning)
-        .flat_map(|h| direct_locks(h, decls, file))
-        .map(|lock| Acq { lock, at })
-        .collect()
-}
-
-fn lock_id_kind(lock: &str, f: &FnModel, decls: &Decls) -> Option<LockKind> {
-    let (owner, field) = lock.split_once('.')?;
-    if owner == f.name {
-        return f.params.iter().find(|p| p.name == field).map(|p| p.kind);
-    }
-    decls.get(field)?.iter().find(|(s, _)| s == owner).map(|(_, k)| *k)
+/// Blocking I/O on a body line, at byte `at`.
+struct Io {
+    at: usize,
+    token: &'static str,
+    chain: Vec<String>,
 }
 
 /// A guard currently live during the replay of one function body.
@@ -475,146 +138,264 @@ struct Held {
     line: usize,
 }
 
-/// Replay one function body, emitting order edges and guard-across-io
-/// findings.
-fn replay_fn(
-    f: &FnModel,
-    file: &FileModel,
-    decls: &Decls,
-    summaries: &HashMap<String, BTreeSet<String>>,
-    edges: &mut Vec<Edge>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let mut held: Vec<Held> = Vec::new();
-    for line in &f.body {
-        held.retain(|h| line.indent >= h.kill_below);
-        if let Some(rest) = line.code.trim_start().strip_prefix("drop(") {
-            let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-            held.retain(|h| h.binding.as_deref() != Some(name.as_str()));
-        }
-        let suppressed = line.allowed.contains("lock-order-cycle");
-        let acqs = line_acquisitions(&line.code, f, decls, file, true);
-        let lets_bind = line.code.trim_start().starts_with("let ");
-        let opens_block = line.code.trim_end().ends_with('{');
-        for acq in &acqs {
-            // A self-edge (re-acquiring a held lock) is kept: it forms
-            // a length-1 cycle, which is exactly what re-entrant
-            // `lock()` on a std Mutex is — a guaranteed deadlock.
-            for h in &held {
-                edges.push(Edge {
-                    from: h.lock.clone(),
-                    to: acq.lock.clone(),
-                    file: file.label.clone(),
-                    line: line.line_no,
-                    function: f.name.clone(),
-                    suppressed,
-                });
+/// Everything one run of the pass finds.
+#[derive(Default)]
+struct Found {
+    edges: Vec<Edge>,
+    diags: Vec<Diagnostic>,
+    /// `(file, line, lock)` of every resolved acquisition site.
+    acquisitions: Vec<(String, usize, String)>,
+}
+
+/// `f` followed by the call chain below it: `f → g → h`.
+fn via(f: &FnModel, chain: &[String]) -> String {
+    chain.iter().fold(f.name.clone(), |acc, callee| format!("{acc} → {callee}"))
+}
+
+/// The resolution context: the model, its unbound call graph and the
+/// indexes lock resolution and suppression need.
+struct Pass<'m> {
+    model: &'m WorkspaceModel,
+    graph: CallGraph,
+    /// Lock field name → every `(struct, kind)` declaring it.
+    by_field: BTreeMap<&'m str, Vec<(&'m str, LockKind)>>,
+    /// `(file, line)` → rules of the `ams-lint` mark there.
+    allows: BTreeMap<(&'m str, usize), &'m [String]>,
+}
+
+impl<'m> Pass<'m> {
+    fn new(model: &'m WorkspaceModel) -> Self {
+        let mut by_field: BTreeMap<&str, Vec<(&str, LockKind)>> = BTreeMap::new();
+        for (s, fields) in &model.locks {
+            for (field, kind) in fields {
+                by_field.entry(field).or_default().push((s, *kind));
             }
-            let kill_below = if lets_bind {
-                Some(line.indent)
-            } else if opens_block {
-                Some(line.indent + 1)
+        }
+        let allows = model
+            .marks
+            .iter()
+            .filter(|(_, m)| m.tool == "lint")
+            .map(|(file, m)| ((file.as_str(), m.line), m.rules.as_slice()))
+            .collect();
+        Pass { model, graph: graph::build(model, &BTreeMap::new()), by_field, allows }
+    }
+
+    /// A `// ams-lint: allow(rule)` on `line` of `file` or the line above.
+    fn allowed(&self, file: &'m str, line: usize, rule: &str) -> bool {
+        [line, line.saturating_sub(1)].iter().any(|&l| {
+            self.allows.get(&(file, l)).is_some_and(|rules| rules.iter().any(|r| r == rule))
+        })
+    }
+
+    /// Resolve a receiver chain in `f` to a lock and its kind.
+    fn resolve(&self, f: &FnModel, segs: &[String]) -> Option<(Lock, LockKind)> {
+        let (last, owner) = segs.split_last()?;
+        if owner.is_empty() {
+            if let Some(k) = f.params.iter().position(|p| &p.name == last && p.lock.is_some()) {
+                return Some((Lock::Param(k), f.params[k].lock?));
+            }
+        } else if let Some(ty) = graph::chain_type(f, self.model, owner) {
+            if self.model.fields.contains_key(&ty) || self.model.locks.contains_key(&ty) {
+                let kind = *self.model.locks.get(&ty)?.get(last)?;
+                return Some((Lock::Named(format!("{ty}.{last}")), kind));
+            }
+        }
+        match self.by_field.get(last.as_str())?.as_slice() {
+            [(s, kind)] => Some((Lock::Named(format!("{s}.{last}")), *kind)),
+            _ => None, // ambiguous across structs: skip rather than guess
+        }
+    }
+
+    /// Bind a callee's summarized lock at a call in `f`: a lock
+    /// parameter becomes whatever the argument resolves to.
+    fn bind(&self, f: &FnModel, args: &[&str], lock: &Lock) -> Option<Lock> {
+        let Lock::Param(k) = lock else { return Some(lock.clone()) };
+        let arg = args.get(*k)?.trim_start_matches('&').trim_start_matches("mut ").trim();
+        if arg.is_empty() || !arg.bytes().all(|b| is_ident_byte(b) || b == b'.') {
+            return None;
+        }
+        let segs: Vec<String> = arg.split('.').map(str::to_string).collect();
+        self.resolve(f, &segs).map(|(lock, _)| lock)
+    }
+
+    /// The locks taken and the first blocking I/O on one body line of
+    /// fn `i`, left to right, given the callees' summaries.
+    fn effects(&self, i: usize, bl: &BodyLine, summaries: &[Summary]) -> (Vec<Taken>, Option<Io>) {
+        let f = &self.model.fns[i];
+        let code = bl.code.as_str();
+        let mut taken = Vec::new();
+        for (needle, rw_only) in [(".lock()", false), (".read()", true), (".write()", true)] {
+            for (at, _) in code.match_indices(needle) {
+                let resolved = graph::receiver_chain(code, at).and_then(|s| self.resolve(f, &s));
+                if let Some((lock, kind)) = resolved {
+                    if !rw_only || kind == LockKind::RwLock {
+                        taken.push(Taken { at, lock, chain: Vec::new(), holds: true });
+                    }
+                }
+            }
+        }
+        let mut io = IO_CALLS
+            .iter()
+            .find_map(|&token| code.find(token).map(|at| Io { at, token, chain: Vec::new() }));
+        let direct: Vec<usize> = taken.iter().map(|t| t.at + 1).collect();
+        for site in self.graph.edges[i].iter().filter(|e| e.line == bl.line_no) {
+            let callee = &self.model.fns[site.callee];
+            let below = |chain: &[String]| {
+                std::iter::once(callee.name.clone()).chain(chain.iter().cloned()).collect()
+            };
+            let summary = &summaries[site.callee];
+            for at in token_positions(code, &callee.name) {
+                let open = at + callee.name.len();
+                // `m.lock()` on a resolved lock is that acquisition, not a call.
+                if !code[open..].starts_with('(') || direct.contains(&at) {
+                    continue;
+                }
+                let args: Vec<&str> = balanced(code, open).map_or(Vec::new(), |(lo, hi)| {
+                    split_args(&code[lo..hi]).into_iter().map(|(_, arg)| arg).collect()
+                });
+                for (lock, chain) in &summary.locks {
+                    if let Some(lock) = self.bind(f, &args, lock) {
+                        let holds = callee.guard_returning;
+                        taken.push(Taken { at, lock, chain: below(chain), holds });
+                    }
+                }
+                if let (None, Some((token, chain))) = (&io, &summary.io) {
+                    io = Some(Io { at, token, chain: below(chain) });
+                }
+            }
+        }
+        taken.sort_by_key(|t| t.at);
+        (taken, io)
+    }
+
+    /// Summarize fn `i` from its body and its callees' summaries.
+    fn summarize(&self, i: usize, summaries: &[Summary]) -> Summary {
+        let mut s = Summary::default();
+        for bl in &self.model.fns[i].body {
+            let (taken, io) = self.effects(i, bl, summaries);
+            // The shortest chain wins (the first on a tie), so
+            // recursive components settle.
+            for t in taken {
+                let chain = s.locks.entry(t.lock).or_insert_with(|| t.chain.clone());
+                if t.chain.len() < chain.len() {
+                    *chain = t.chain;
+                }
+            }
+            if let Some(io) =
+                io.filter(|io| s.io.as_ref().is_none_or(|(_, c)| io.chain.len() < c.len()))
+            {
+                s.io = Some((io.token, io.chain));
+            }
+        }
+        s
+    }
+
+    /// Replay fn `i`'s body, emitting order edges, guard-across-io
+    /// findings and resolved acquisition sites.
+    fn replay(&self, i: usize, summaries: &[Summary], found: &mut Found) {
+        let f = &self.model.fns[i];
+        let name = |lock: &Lock| match lock {
+            Lock::Named(n) => n.clone(),
+            Lock::Param(k) => format!("{}.{}", f.name, f.params[*k].name),
+        };
+        let mut held: Vec<Held> = Vec::new();
+        for bl in &f.body {
+            let trimmed = bl.code.trim_start();
+            let indent = bl.code.len() - trimmed.len();
+            held.retain(|h| indent >= h.kill_below);
+            if let Some(rest) = trimmed.strip_prefix("drop(") {
+                held.retain(|h| h.binding.as_deref() != Some(ident(rest)));
+            }
+            let suppressed = self.allowed(&f.file, bl.line_no, "lock-order-cycle");
+            let kill_below = if trimmed.starts_with("let ") {
+                Some(indent)
+            } else if trimmed.trim_end().ends_with('{') {
+                Some(indent + 1)
             } else {
                 None // transient: acquired and released within the statement
             };
-            if let Some(kill_below) = kill_below {
-                held.push(Held {
-                    lock: acq.lock.clone(),
-                    kill_below,
-                    binding: lets_bind.then(|| let_binding(&line.code)).flatten(),
-                    line: line.line_no,
-                });
+            let (taken, io) = self.effects(i, bl, summaries);
+            for t in taken {
+                let lock = name(&t.lock);
+                // A self-edge (re-acquiring a held lock) is kept: it
+                // forms a length-1 cycle, which is exactly what
+                // re-entrant `lock()` on a std Mutex is — a deadlock.
+                for h in &held {
+                    found.edges.push(Edge {
+                        from: h.lock.clone(),
+                        to: lock.clone(),
+                        file: f.file.clone(),
+                        line: bl.line_no,
+                        function: via(f, &t.chain),
+                        suppressed,
+                    });
+                }
+                if !t.holds {
+                    continue;
+                }
+                found.acquisitions.push((f.file.clone(), bl.line_no, lock.clone()));
+                if let Some(kill_below) = kill_below {
+                    let binding = model::let_bound(trimmed).map(|(name, _)| name.to_string());
+                    held.push(Held { lock, kill_below, binding, line: bl.line_no });
+                }
             }
-        }
-        // One-level call propagation: a same-file helper that acquires
-        // internally (and releases before returning) still orders its
-        // locks after everything held at the call site.
-        for (callee, locks) in summaries {
-            if callee == &f.name || locks.is_empty() {
+            let (Some(h), Some(io)) = (held.last(), io) else { continue };
+            if self.allowed(&f.file, bl.line_no, "no-lock-across-io") {
                 continue;
             }
-            for pat in [format!("self.{callee}("), format!(" {callee}(")] {
-                if line.code.contains(&pat) {
-                    for h in &held {
-                        for lock in locks {
-                            if acqs.iter().any(|a| &a.lock == lock) {
-                                continue; // already counted as a direct acquisition
-                            }
-                            edges.push(Edge {
-                                from: h.lock.clone(),
-                                to: lock.clone(),
-                                file: file.label.clone(),
-                                line: line.line_no,
-                                function: f.name.clone(),
-                                suppressed,
-                            });
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        if !held.is_empty() && !line.allowed.contains("no-lock-across-io") {
-            for io in IO_CALLS {
-                if let Some(col) = line.code.find(io) {
-                    let h = held.last().expect("held non-empty");
-                    diags.push(
-                        Diagnostic::error(
-                            "no-lock-across-io",
-                            Location::Source {
-                                file: file.label.clone(),
-                                line: line.line_no,
-                                col: col + 1,
-                            },
-                            format!(
-                                "guard on `{}` (taken line {}) is live across blocking `{}` — \
-                                 a stalled peer pins the lock",
-                                h.lock,
-                                h.line,
-                                io.trim_end_matches('(')
-                            ),
-                        )
-                        .with_hint(
-                            "scope the guard (inner block or `drop(guard)`) so it is released \
-                             before any socket/file operation"
-                                .to_string(),
-                        ),
-                    );
-                    break;
-                }
-            }
+            let through = if io.chain.is_empty() {
+                String::new()
+            } else {
+                format!(" via `{}`", via(f, &io.chain))
+            };
+            found.diags.push(
+                Diagnostic::error(
+                    "no-lock-across-io",
+                    Location::Source { file: f.file.clone(), line: bl.line_no, col: io.at + 1 },
+                    format!(
+                        "guard on `{}` (taken line {}) is live across blocking `{}`{through} — \
+                         a stalled peer pins the lock",
+                        h.lock,
+                        h.line,
+                        io.token.trim_end_matches('(')
+                    ),
+                )
+                .with_hint(
+                    "scope the guard (inner block or `drop(guard)`) so it is released before any \
+                     socket/file operation"
+                        .to_string(),
+                ),
+            );
         }
     }
 }
 
-fn let_binding(code: &str) -> Option<String> {
-    let rest = code.trim_start().strip_prefix("let ")?;
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-    let after = rest[name.len()..].trim_start();
-    (!name.is_empty() && (after.starts_with('=') || after.starts_with(':'))).then_some(name)
+/// Parse, summarize and replay `files`.
+fn run(files: &[(String, String)]) -> (Found, ConcStats) {
+    let mut model = WorkspaceModel::default();
+    for (label, content) in files {
+        model::parse_file(label, content, &mut model);
+    }
+    let pass = Pass::new(&model);
+    let summaries = graph::bottom_up(&pass.graph.edges, |i, s| pass.summarize(i, s), PartialEq::eq);
+    let mut found = Found::default();
+    for i in 0..model.fns.len() {
+        pass.replay(i, &summaries, &mut found);
+    }
+    let stats = ConcStats {
+        files: model.files,
+        functions: model.fns.len(),
+        acquisitions: found.acquisitions.len(),
+        edges: found.edges.len(),
+    };
+    (found, stats)
 }
 
 /// Extract the global acquisition-order graph and guard-across-io
 /// findings from `(label, content)` sources.
 pub fn extract_edges(files: &[(String, String)]) -> (Vec<Edge>, Vec<Diagnostic>) {
-    let mut decls = Decls::new();
-    let models: Vec<FileModel> =
-        files.iter().map(|(label, content)| parse_file(label, content, &mut decls)).collect();
-    let mut edges = Vec::new();
-    let mut diags = Vec::new();
-    for file in &models {
-        let summaries: HashMap<String, BTreeSet<String>> = file
-            .fns
-            .iter()
-            .filter(|f| !f.guard_returning)
-            .map(|f| (f.name.clone(), direct_locks(f, &decls, file)))
-            .collect();
-        for f in &file.fns {
-            replay_fn(f, file, &decls, &summaries, &mut edges, &mut diags);
-        }
-    }
-    (edges, diags)
+    let (found, _) = run(files);
+    (found.edges, found.diags)
 }
 
 /// Cycles in the acquisition-order graph, as node lists (`[A, B]`
@@ -666,31 +447,39 @@ fn canonical(cycle: Vec<String>) -> Vec<String> {
 }
 
 /// Render the cycle set of the (unsuppressed) graph as diagnostics,
-/// each naming the full cycle and every acquisition site on it.
+/// each naming the full cycle, the call chain of every acquisition
+/// taken through calls, and every acquisition site on it.
 pub fn cycle_diagnostics(edges: &[Edge]) -> Vec<Diagnostic> {
     let live: Vec<Edge> = edges.iter().filter(|e| !e.suppressed).cloned().collect();
     let mut out = Vec::new();
     for cycle in find_cycles(&live) {
-        let mut sites = Vec::new();
-        let mut first: Option<&Edge> = None;
-        for (i, from) in cycle.iter().enumerate() {
-            let to = &cycle[(i + 1) % cycle.len()];
-            if let Some(e) = live.iter().find(|e| &e.from == from && &e.to == to) {
-                sites.push(format!(
-                    "{} → {} at {}:{} (in `{}`)",
-                    e.from, e.to, e.file, e.line, e.function
-                ));
-                first.get_or_insert(e);
-            }
-        }
-        let Some(first) = first else { continue };
+        let on_cycle: Vec<&Edge> = cycle
+            .iter()
+            .enumerate()
+            .filter_map(|(i, from)| {
+                let to = &cycle[(i + 1) % cycle.len()];
+                live.iter().find(|e| &e.from == from && &e.to == to)
+            })
+            .collect();
+        let Some(first) = on_cycle.first() else { continue };
         let mut chain = cycle.clone();
         chain.push(cycle[0].clone());
+        let calls: String = on_cycle
+            .iter()
+            .filter(|e| e.function.contains(" → "))
+            .map(|e| format!(" ({} taken via `{}`)", e.to, e.function))
+            .collect();
+        let sites: Vec<String> = on_cycle
+            .iter()
+            .map(|e| {
+                format!("{} → {} at {}:{} (in `{}`)", e.from, e.to, e.file, e.line, e.function)
+            })
+            .collect();
         out.push(
             Diagnostic::error(
                 "lock-order-cycle",
                 Location::Source { file: first.file.clone(), line: first.line, col: 1 },
-                format!("lock acquisition order cycle: {}", chain.join(" → ")),
+                format!("lock acquisition order cycle: {}{calls}", chain.join(" → ")),
             )
             .with_hint(format!(
                 "two paths take these locks in conflicting orders — a deadlock window; \
@@ -703,36 +492,23 @@ pub fn cycle_diagnostics(edges: &[Edge]) -> Vec<Diagnostic> {
 }
 
 /// Run the full pass over in-memory sources: order cycles plus
-/// guard-across-io findings, sorted for stable output.
+/// guard-across-io findings.
+pub fn analyze(files: &[(String, String)]) -> (Vec<Diagnostic>, ConcStats) {
+    let (found, stats) = run(files);
+    let mut diags = found.diags;
+    diags.extend(cycle_diagnostics(&found.edges));
+    (diags, stats)
+}
+
+/// [`analyze`] without the statistics.
 pub fn analyze_files(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let (edges, mut diags) = extract_edges(files);
-    diags.extend(cycle_diagnostics(&edges));
-    diags
+    analyze(files).0
 }
 
-/// Run the pass over source files on disk, labelled root-relative.
-pub fn check_files(root: &Path, paths: &[std::path::PathBuf]) -> Result<Vec<Diagnostic>, String> {
-    let mut files = Vec::new();
-    for path in paths {
-        let content =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let label = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        files.push((label, content));
-    }
-    Ok(analyze_files(&files))
-}
-
-/// The default surface: every source under `crates/serve/src` and
-/// `crates/runtime/src` of the workspace at `root`.
-pub fn check_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let paths: Vec<std::path::PathBuf> = workspace_sources(root)?
-        .into_iter()
-        .filter(|p| {
-            let s = p.to_string_lossy().replace('\\', "/");
-            s.contains("serve/src/") || s.contains("runtime/src/")
-        })
-        .collect();
-    check_files(root, &paths)
+/// Run the pass over the production sources of the workspace at
+/// `root` — the file set the taint pass reads.
+pub fn check_workspace(root: &Path) -> Result<(Vec<Diagnostic>, ConcStats), String> {
+    Ok(analyze(&source::load(root, &source::production_sources(root)?)?))
 }
 
 #[cfg(test)]
@@ -996,5 +772,44 @@ mod tests {
         let cycles = find_cycles(&ring);
         assert_eq!(cycles.len(), 1, "{cycles:?}");
         assert_eq!(cycles[0], vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+    }
+
+    #[test]
+    fn every_live_acquisition_site_resolves_to_a_named_lock() {
+        // The clean workspace verdict is only worth something if the
+        // resolver sees the real locks: every line of the serving and
+        // runtime concurrency files that takes a lock — directly or
+        // through a guard helper — must resolve on the production run.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let sources = source::load(&root, &source::production_sources(&root).unwrap()).unwrap();
+        let (found, _) = run(&sources);
+        let files = [
+            "crates/serve/src/breaker.rs",
+            "crates/serve/src/registry.rs",
+            "crates/runtime/src/pool.rs",
+            "crates/serve/src/net.rs",
+        ];
+        let mut sites = 0;
+        for (label, content) in sources.iter().filter(|(l, _)| files.contains(&l.as_str())) {
+            let lines = source::clean(content);
+            for line in lines.iter().take_while(|l| !l.code.trim_start().starts_with("#[cfg(test)"))
+            {
+                let takes = [".lock()", ".read().", ".write().", "lock(&"];
+                if line.code.contains("fn lock") || !takes.iter().any(|t| line.code.contains(t)) {
+                    continue;
+                }
+                sites += 1;
+                assert!(
+                    found
+                        .acquisitions
+                        .iter()
+                        .any(|(f, l, lock)| { f == label && *l == line.no && lock.contains('.') }),
+                    "{label}:{} takes an unresolved lock: {}",
+                    line.no,
+                    line.raw.trim()
+                );
+            }
+        }
+        assert_eq!(sites, 20);
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! Two complementary halves share this module:
 //!
-//! * [`lockorder`] — a static pass over `crates/serve` and
-//!   `crates/runtime` source that extracts which `Mutex`/`RwLock`
-//!   fields each function acquires and in what nesting order, builds
-//!   the global acquisition-order graph, and reports cycles (potential
-//!   deadlocks) plus guards held across blocking I/O. Runs via
-//!   `ams-check --conc` with the same diagnostics, suppressions, and
+//! * [`lockorder`] — a static pass over the workspace's production
+//!   source, on the model and call graph the audit and taint passes
+//!   share, that extracts which `Mutex`/`RwLock` objects each function
+//!   acquires (through calls to any depth) and in what nesting order,
+//!   builds the global acquisition-order graph, and reports cycles
+//!   (potential deadlocks) plus guards held across blocking I/O. Runs
+//!   via `ams-check conc` with the same diagnostics, suppressions, and
 //!   exit codes as the lint engine.
 //! * [`sched`] + [`shim`] + [`vclock`] — a miniature loom: shim
 //!   primitives whose every operation is a schedule point, a

@@ -1,7 +1,11 @@
 //! # ams-analyze — static analysis for the AMS stack
 //!
-//! Three layers behind one structured [`Diagnostic`] type and one
-//! binary (`ams-check`):
+//! Five layers behind one structured [`Diagnostic`] type and one
+//! binary (`ams-check`). The four source passes (lint, lock-order,
+//! audit, taint) share one front end ([`source`]): one workspace walk
+//! and loader, one line cleaner and one suppression-mark grammar; the
+//! last three also share one per-function model and call graph
+//! ([`audit::model`], [`audit::graph`]).
 //!
 //! 1. **Tape-IR analysis** — replays a recorded [`Plan`]
 //!    (`Graph::plan()`) without data: symbolic shape inference
@@ -12,10 +16,10 @@
 //!    line/token linter ([`lint`]) with repo-specific rules such as
 //!    `no-unwrap-in-serve`, inline `// ams-lint: allow(rule)`
 //!    suppressions, and `--format json` output.
-//! 3. **Concurrency layer** ([`conc`]) — static lock-order analysis
-//!    over the serving/runtime concurrency surface (`ams-check
-//!    --conc`) plus a deterministic interleaving explorer with
-//!    vector-clock race checking for protocol models.
+//! 3. **Concurrency layer** ([`conc`]) — interprocedural lock-order
+//!    analysis over the production sources (`ams-check conc`) plus a
+//!    deterministic interleaving explorer with vector-clock race
+//!    checking for protocol models.
 //! 4. **Whole-program audit** ([`audit`]) — interprocedural
 //!    panic/alloc/block propagation over a workspace call graph
 //!    (`ams-check audit`), gating the declared hot-path roots of
@@ -39,6 +43,7 @@ pub mod numeric;
 pub mod plan_io;
 pub mod reach;
 pub mod shape;
+pub mod source;
 pub mod taint;
 
 use ams_tensor::plan::{Plan, PlanOp};

@@ -7,16 +7,17 @@
 //! (`tensor/src/`) so the same engine lints both the real workspace
 //! and seeded fixture trees.
 //!
-//! Conventions the matcher relies on (true throughout this repo):
-//! `#[cfg(test)]` modules are the last item of a file, so everything
-//! from that attribute to EOF is test code and exempt from the
-//! production-path rules. A finding on line N is suppressed by
+//! Rules match the cleaned code of [`crate::source::clean`] (string
+//! literals blanked, comments cut); only `todo-without-issue` reads the
+//! raw line. Conventions the matcher relies on (true throughout this
+//! repo): `#[cfg(test)]` modules are the last item of a file, so
+//! everything from that attribute to EOF is test code and exempt from
+//! the production-path rules. A finding on line N is suppressed by
 //! `// ams-lint: allow(rule-id)` on line N or N-1.
 
 use crate::diagnostic::{Diagnostic, Location};
-use std::collections::HashSet;
-use std::fs;
-use std::path::{Path, PathBuf};
+use crate::source::{self, Line};
+use std::path::Path;
 
 /// Files where `.unwrap()` / `.expect(` are denied outright: the
 /// serving hot path, where a panic kills a worker thread mid-request.
@@ -162,29 +163,17 @@ fn in_runtime_scope(path: &str) -> bool {
     normalized(path).contains("runtime/src/")
 }
 
-/// Rules named by a `// ams-lint: allow(a, b)` marker, if the line
-/// carries one. Shared with the `conc::lockorder` pass.
-pub(crate) fn allowed_rules(line: &str) -> HashSet<String> {
-    let mut out = HashSet::new();
-    if let Some(pos) = line.find("ams-lint: allow(") {
-        let rest = &line[pos + "ams-lint: allow(".len()..];
-        if let Some(end) = rest.find(')') {
-            for rule in rest[..end].split(',') {
-                out.insert(rule.trim().to_string());
-            }
-        }
-    }
-    out
-}
-
-/// The code portion of a line: everything before a `//` comment.
-/// Naive about `//` inside string literals, which this repo's rules
-/// never need to distinguish. Shared with the `conc::lockorder` pass.
-pub(crate) fn code_part(line: &str) -> &str {
-    match line.find("//") {
-        Some(pos) => &line[..pos],
-        None => line,
-    }
+/// Rules allowed on line index `idx` of `lines` by an `ams-lint` mark on that
+/// line or the one above it.
+fn allowed_rules(lines: &[Line], idx: usize) -> Vec<String> {
+    let above = idx.checked_sub(1).and_then(|i| lines.get(i));
+    [lines.get(idx), above]
+        .into_iter()
+        .flatten()
+        .filter_map(Line::mark)
+        .filter(|m| m.tool == "lint")
+        .flat_map(|m| m.rules)
+        .collect()
 }
 
 fn finding(
@@ -208,10 +197,9 @@ fn finding(
 /// Lint one file's content. `path` is the label used for rule scoping
 /// and in diagnostics — callers pass a repo-relative path.
 pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
-    let lines: Vec<&str> = content.lines().collect();
+    let lines: Vec<Line> = source::clean(content);
     let mut out = Vec::new();
     let mut in_tests = false;
-    let mut prev_allowed: HashSet<String> = HashSet::new();
     // Indentation stack of enclosing `for` loops, for the naive-matmul
     // rule: an entry is the indent column of an open `for`.
     let mut for_stack: Vec<usize> = Vec::new();
@@ -220,19 +208,18 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
     // grow without limit; a push in straight-line code cannot.
     let mut loop_stack: Vec<usize> = Vec::new();
 
-    for (idx, raw) in lines.iter().enumerate() {
-        let line_no = idx + 1;
-        let mut allowed = allowed_rules(raw);
-        allowed.extend(prev_allowed.drain());
-        prev_allowed = allowed_rules(raw);
+    for (idx, line) in lines.iter().enumerate() {
+        let (line_no, raw, code) = (line.no, line.raw, line.code.as_str());
+        let allowed = allowed_rules(&lines, idx);
+        let allowed = |rule: &str| allowed.iter().any(|r| r == rule);
 
-        if raw.trim_start().starts_with("#[cfg(test)") {
+        if code.trim_start().starts_with("#[cfg(test)") {
             in_tests = true;
         }
 
         // todo-without-issue looks at the whole line including comments
         // and applies everywhere, tests included.
-        if !allowed.contains("todo-without-issue") {
+        if !allowed("todo-without-issue") {
             // ams-lint: allow(todo-without-issue) — the rule's own marker list
             for marker in ["TODO", "FIXME"] {
                 if let Some(col) = raw.find(marker) {
@@ -259,7 +246,6 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
         if in_tests {
             continue;
         }
-        let code = code_part(raw);
 
         // no-naive-matmul-outside-runtime: a multiply-accumulate inside
         // three (or more) nested `for` loops is a hand-rolled O(n³)
@@ -274,7 +260,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
                     for_stack.pop();
                 }
                 if !in_runtime_scope(path)
-                    && !allowed.contains("no-naive-matmul-outside-runtime")
+                    && !allowed("no-naive-matmul-outside-runtime")
                     && for_stack.len() >= 3
                 {
                     if let Some(pos) = trimmed.find("+=") {
@@ -305,7 +291,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
                 // queue unless a capacity guard sits on the line or
                 // just above it. Unbounded `mpsc::channel()` is the
                 // same defect at the admission layer.
-                if in_serve_scope(path) && !allowed.contains("no-unbounded-queue-in-serve") {
+                if in_serve_scope(path) && !allowed("no-unbounded-queue-in-serve") {
                     if let Some(pos) = code.find("mpsc::channel()") {
                         out.push(finding(
                             true,
@@ -322,9 +308,8 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
                     if !loop_stack.is_empty() {
                         let pushes = [".push(", ".push_back(", ".push_front("];
                         if let Some(pos) = pushes.iter().filter_map(|p| code.find(p)).min() {
-                            let guarded = (idx.saturating_sub(GUARD_WINDOW)..=idx).any(|j| {
-                                CAPACITY_GUARDS.iter().any(|g| code_part(lines[j]).contains(g))
-                            });
+                            let guarded = (idx.saturating_sub(GUARD_WINDOW)..=idx)
+                                .any(|j| CAPACITY_GUARDS.iter().any(|g| lines[j].code.contains(g)));
                             if !guarded {
                                 out.push(finding(
                                     true,
@@ -357,11 +342,11 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
         // timeouts are set within the next few lines, a later read
         // blocks indefinitely. Write-less uses (e.g. the shutdown
         // nudge connections) carry a justified allow marker.
-        if in_request_path_scope(path) && !allowed.contains("no-connect-without-timeout") {
+        if in_request_path_scope(path) && !allowed("no-connect-without-timeout") {
             if let Some(pos) = code.find("TcpStream::connect_timeout(") {
                 let window_end = (idx + CONNECT_WINDOW).min(lines.len().saturating_sub(1));
                 let configured = (idx..=window_end).any(|j| {
-                    let c = code_part(lines[j]);
+                    let c = &lines[j].code;
                     c.contains("set_read_timeout(") || c.contains("set_write_timeout(")
                 });
                 if !configured {
@@ -382,7 +367,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
         }
 
         for dr in &DENY_RULES {
-            if !(dr.in_scope)(path) || allowed.contains(dr.rule) {
+            if !(dr.in_scope)(path) || allowed(dr.rule) {
                 continue;
             }
             for needle in dr.needles {
@@ -409,7 +394,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
             }
         }
 
-        if in_tensor_scope(path) && !allowed.contains("no-float-cast-truncation") {
+        if in_tensor_scope(path) && !allowed("no-float-cast-truncation") {
             for needle in INT_CASTS {
                 if let Some(col) = code.find(needle) {
                     let before = &code[..col];
@@ -438,51 +423,11 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint a file on disk. Errors (unreadable file) are surfaced to the
-/// caller, which maps them to exit code 2.
-pub fn lint_file(path: &Path, label: &str) -> Result<Vec<Diagnostic>, String> {
-    let content =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(lint_source(label, &content))
-}
-
-/// Directories never descended into when walking a workspace.
-const SKIP_DIRS: [&str; 6] = ["target", "vendor", ".git", "fixtures", "results", "node_modules"];
-
-/// Collect every `.rs` file under `root`, skipping build output,
-/// vendored deps and fixture trees. Sorted for deterministic output.
-pub fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let entries =
-            fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("walk error under {}: {e}", dir.display()))?;
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_str()) {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// Lint every workspace source under `root`, labelling diagnostics
 /// with root-relative paths.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let mut out = Vec::new();
-    for path in workspace_sources(root)? {
-        let label = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        out.extend(lint_file(&path, &label)?);
-    }
-    Ok(out)
+    let sources = source::load(root, &source::workspace_sources(root)?)?;
+    Ok(sources.iter().flat_map(|(label, content)| lint_source(label, content)).collect())
 }
 
 #[cfg(test)]
@@ -710,16 +655,5 @@ mod tests {
         assert!(diags.iter().all(|d| d.rule == "todo-without-issue"));
         assert!(diags[0].message.contains("TODO")); // ams-lint: allow(todo-without-issue)
         assert!(diags[1].message.contains("FIXME")); // ams-lint: allow(todo-without-issue)
-    }
-
-    #[test]
-    fn workspace_walker_skips_fixture_and_vendor_trees() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-        let files = workspace_sources(root).unwrap();
-        assert!(!files.is_empty());
-        assert!(files.iter().all(|p| {
-            let s = p.to_string_lossy().replace('\\', "/");
-            !s.contains("/fixtures/") && !s.contains("/target/")
-        }));
     }
 }

@@ -48,6 +48,7 @@
 //!   Comparisons against a name from `[limits]` — or against a
 //!   `.len()` — sanitize like a hard token.
 
+use crate::audit::config::{parse_array, unquote};
 use std::fmt;
 
 /// How a source introduces taint.
@@ -121,24 +122,6 @@ impl fmt::Display for SourceKind {
             SourceKind::Expr => "expr",
         })
     }
-}
-
-fn unquote(s: &str) -> Result<String, String> {
-    let t = s.trim();
-    if t.len() >= 2 && t.starts_with('"') && t.ends_with('"') {
-        Ok(t[1..t.len() - 1].to_string())
-    } else {
-        Err(format!("expected a quoted string, got `{t}`"))
-    }
-}
-
-fn parse_array(s: &str) -> Result<Vec<String>, String> {
-    let t = s.trim();
-    let inner = t
-        .strip_prefix('[')
-        .and_then(|r| r.strip_suffix(']'))
-        .ok_or_else(|| format!("expected a single-line [\"…\"] array, got `{t}`"))?;
-    inner.split(',').map(str::trim).filter(|p| !p.is_empty()).map(unquote).collect()
 }
 
 /// `.read_line(` → `read_line`, `vec![` → `vec![..]`: a readable chain

@@ -39,6 +39,7 @@
 use super::config::{SinkKind, SourceKind, TaintConfig};
 use crate::audit::graph::CallSite;
 use crate::audit::model::{FnModel, WorkspaceModel};
+use crate::source::{balanced, is_ident_byte, split_args, token_positions};
 use std::collections::BTreeMap;
 
 /// Taint tier of one value. Ordering is by increasing distrust;
@@ -137,10 +138,6 @@ const KEYWORDS: [&str; 22] = [
     "move", "break", "continue", "true", "false", "self", "Self", "dyn", "impl",
 ];
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// Maximal identifiers of `text` with their byte positions.
 fn idents(text: &str) -> Vec<(usize, &str)> {
     let bytes = text.as_bytes();
@@ -160,71 +157,6 @@ fn idents(text: &str) -> Vec<(usize, &str)> {
             i += 1;
         }
     }
-    out
-}
-
-/// Every occurrence of `token` in `text`, with an identifier-boundary
-/// check on the left when the token starts with an identifier byte.
-fn token_positions(text: &str, token: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = text[from..].find(token) {
-        let pos = from + rel;
-        let boundary = !token.starts_with(|c: char| is_ident_byte(c as u8))
-            || pos == 0
-            || !is_ident_byte(text.as_bytes()[pos - 1]);
-        if boundary {
-            out.push(pos);
-        }
-        from = pos + token.len().max(1);
-    }
-    out
-}
-
-/// Content of the balanced `(`/`[` group opening at `open` (which
-/// must point at the opening delimiter). Returns the inner byte range.
-fn balanced(text: &str, open: usize) -> Option<(usize, usize)> {
-    let bytes = text.as_bytes();
-    let (inc, dec) = match bytes.get(open) {
-        Some(b'(') => (b'(', b')'),
-        Some(b'[') => (b'[', b']'),
-        _ => return None,
-    };
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        if b == inc {
-            depth += 1;
-        } else if b == dec {
-            depth -= 1;
-            if depth == 0 {
-                return Some((open + 1, i));
-            }
-        }
-    }
-    None
-}
-
-/// Split `text` on top-level commas (depth 0 over `(<[`).
-fn split_args(text: &str) -> Vec<(usize, &str)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' | b'<' => depth += 1,
-            b')' | b']' | b'>' => depth -= 1,
-            b',' if depth <= 0 => {
-                out.push((start, text[start..i].trim()));
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < text.len() {
-        out.push((start, text[start..].trim()));
-    }
-    out.retain(|(_, a)| !a.is_empty());
     out
 }
 

@@ -25,12 +25,11 @@
 //! findings are emitted in the function where the taint *originates*,
 //! so each defect is reported exactly once with its true source site.
 //!
-//! Suppression policy matches the audit: only an adjacent comment of
-//! the form `ams-taint` allow(rule) followed by `: justification`
-//! excuses a sink, and a bare allow is itself a
-//! `taint-bad-suppression` error. (The pattern is spelled indirectly
-//! here for the same reason the audit does it: the taint pass scans
-//! this file too.)
+//! Suppression policy matches the audit: only an adjacent
+//! `// ams-taint: allow(rule): justification` comment excuses a sink,
+//! and a bare allow is itself a `taint-bad-suppression` error. Marks
+//! are parsed by the shared [`crate::source`] front end, so one quoted
+//! in a string literal or a doc comment is never a suppression.
 
 pub mod config;
 pub mod local;
@@ -38,7 +37,7 @@ pub mod local;
 use crate::audit::graph;
 use crate::audit::model::{self, WorkspaceModel};
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::lint::workspace_sources;
+use crate::source;
 use config::TaintConfig;
 use local::{AllowIndex, Finding, Summary};
 use std::collections::BTreeMap;
@@ -58,60 +57,6 @@ pub struct TaintStats {
     pub violations: usize,
 }
 
-/// One `ams-taint` allow(rule, …) marker occurrence.
-#[derive(Debug, Clone)]
-struct TaintAllow {
-    rules: Vec<String>,
-    justified: bool,
-    file: String,
-    line: usize,
-    col: usize,
-}
-
-/// Scan file content for `ams-taint` allow marks. The model blanks
-/// comments out of body lines, so marks are invisible to the
-/// analysis; conversely, string and char literals are blanked *here*
-/// (length-preserving, newlines restored so line numbers hold) so a
-/// mark quoted inside a string — a test fixture, a rendered hint — is
-/// never mistaken for a suppression.
-fn allow_marks(label: &str, content: &str, out: &mut Vec<TaintAllow>) {
-    let mut stripped = model::strip_strings(content).into_bytes();
-    for (i, b) in content.bytes().enumerate() {
-        if b == b'\n' {
-            stripped[i] = b'\n';
-        }
-    }
-    let stripped = String::from_utf8(stripped).unwrap_or_else(|_| content.to_string());
-    for (i, line) in stripped.lines().enumerate() {
-        let Some(tag) = line.find("ams-taint:") else { continue };
-        let rest = &line[tag..];
-        let Some(open_rel) = rest.find("allow(") else { continue };
-        let after = &rest[open_rel + 6..];
-        let Some(close) = after.find(')') else { continue };
-        let rules: Vec<String> = after[..close]
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        let tail = after[close + 1..].trim();
-        let justified = tail.strip_prefix(':').is_some_and(|j| !j.trim().is_empty());
-        out.push(TaintAllow {
-            rules,
-            justified,
-            file: label.to_string(),
-            line: i + 1,
-            col: tag + 1,
-        });
-    }
-}
-
-/// Upper bound on fixpoint sweeps inside one SCC. Each sweep either
-/// raises some finite-lattice entry or terminates, so this is a
-/// safety net, not a correctness knob.
-fn max_sweeps(comp_len: usize) -> usize {
-    3 * comp_len + 2
-}
-
 /// Tiers-only fingerprint of a summary, for fixpoint convergence.
 fn fingerprint(s: &Summary) -> (u8, Vec<u8>, Vec<u8>, Vec<bool>) {
     (
@@ -126,29 +71,16 @@ fn fingerprint(s: &Summary) -> (u8, Vec<u8>, Vec<u8>, Vec<bool>) {
 /// problem is a diagnostic, not an `Err`.
 pub fn taint_sources(sources: &[(String, String)], cfg: &TaintConfig) -> (Report, TaintStats) {
     let mut model = WorkspaceModel::default();
-    let mut marks = Vec::new();
     for (label, content) in sources {
         model::parse_file(label, content, &mut model);
-        allow_marks(label, content, &mut marks);
     }
     let mut report = Report::new();
 
     // Suppressions must justify themselves.
+    report.extend(model.unjustified("taint"));
     let mut allows = AllowIndex::new();
-    for mark in &marks {
-        if mark.justified {
-            allows
-                .entry((mark.file.clone(), mark.line))
-                .or_default()
-                .extend(mark.rules.iter().cloned());
-        } else {
-            report.extend(vec![Diagnostic::error(
-                "taint-bad-suppression",
-                Location::Source { file: mark.file.clone(), line: mark.line, col: mark.col },
-                format!("`ams-taint` allow({}) without a justification", mark.rules.join(", ")),
-            )
-            .with_hint("append `: <reason>` — every taint suppression must explain itself")]);
-        }
+    for (file, mark) in model.marks.iter().filter(|(_, m)| m.tool == "taint" && m.justified) {
+        allows.entry((file.clone(), mark.line)).or_default().extend(mark.rules.iter().cloned());
     }
 
     let g = graph::build(&model, &BTreeMap::new());
@@ -160,30 +92,12 @@ pub fn taint_sources(sources: &[(String, String)], cfg: &TaintConfig) -> (Report
         violations: 0,
     };
 
-    // Bottom-up summaries over the SCC condensation; Tarjan emits
-    // components callees-first, so one ordered pass (with an inner
-    // fixpoint for cycles) converges.
-    let adj: Vec<Vec<usize>> =
-        g.edges.iter().map(|es| es.iter().map(|e| e.callee).collect()).collect();
-    let (_, comps) = graph::condense(model.fns.len(), &adj);
-    let mut summaries = vec![Summary::default(); model.fns.len()];
-    for comp in &comps {
-        for _sweep in 0..max_sweeps(comp.len()) {
-            let mut changed = false;
-            for &i in comp {
-                let before = fingerprint(&summaries[i]);
-                let (s, _) =
-                    local::analyze_fn(&model.fns[i], &model, cfg, &g.edges[i], &summaries, &allows);
-                if fingerprint(&s) != before {
-                    changed = true;
-                }
-                summaries[i] = s;
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
+    // Bottom-up summaries; a cycle settles once no tier moves.
+    let summaries = graph::bottom_up(
+        &g.edges,
+        |i, sums| local::analyze_fn(&model.fns[i], &model, cfg, &g.edges[i], sums, &allows).0,
+        |a, b| fingerprint(a) == fingerprint(b),
+    );
 
     // Final sweep with converged summaries collects the findings.
     let mut findings: Vec<Finding> = Vec::new();
@@ -244,37 +158,15 @@ pub fn taint_sources(sources: &[(String, String)], cfg: &TaintConfig) -> (Report
     (report, stats)
 }
 
-/// Read + taint-audit a set of files. Labels are `root`-relative when
-/// the file sits under `root`, the raw path otherwise.
-pub fn taint_files(
-    root: &Path,
-    paths: &[std::path::PathBuf],
-    cfg: &TaintConfig,
-) -> Result<(Report, TaintStats), String> {
-    let mut sources = Vec::with_capacity(paths.len());
-    for path in paths {
-        let label = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let content = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        sources.push((label, content));
-    }
-    Ok(taint_sources(&sources, cfg))
-}
-
-/// Taint-audit every *production* workspace source under `root`
-/// against the `taint.toml` at `config`. Integration tests and
-/// benches are excluded: they forge inputs on purpose (corruption
-/// fixtures, synthetic loads) and none of their code ships.
+/// Taint-audit every production workspace source under `root`
+/// ([`source::production_sources`]) against the `taint.toml` at
+/// `config`.
 pub fn taint_workspace(root: &Path, config: &Path) -> Result<(Report, TaintStats), String> {
     let text = std::fs::read_to_string(config)
         .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
     let cfg = config::parse(&text)?;
-    let mut paths = workspace_sources(root)?;
-    paths.retain(|p| {
-        let s = p.to_string_lossy().replace('\\', "/");
-        !s.contains("/tests/") && !s.contains("/benches/")
-    });
-    taint_files(root, &paths, &cfg)
+    let sources = source::load(root, &source::production_sources(root)?)?;
+    Ok(taint_sources(&sources, &cfg))
 }
 
 #[cfg(test)]
@@ -397,17 +289,46 @@ mod tests {
 
     #[test]
     fn a_mark_inside_a_string_literal_is_not_a_suppression() {
-        // The mark pattern quoted in a string (a test fixture, a
-        // rendered hint) must neither suppress nor trip the
-        // bad-suppression rule — only real comments count.
-        let src = "fn outer() -> &'static str {\n\
-                   \x20   \"// ams-taint: allow(tainted-alloc)\"\n\
-                   }\n";
-        let (report, _) = run(src);
-        assert!(
-            !report.diagnostics.iter().any(|d| d.rule == "taint-bad-suppression"),
-            "{}",
-            report.render_text()
-        );
+        // A mark quoted in a string (a test fixture, a rendered hint)
+        // must neither suppress nor trip a bad-suppression rule — only
+        // real comments count — and a `//` inside a literal must not
+        // hide the code after it. Every row runs lint, audit and taint.
+        let rows: [(&str, &str, &[&str]); 4] = [
+            (
+                "lint",
+                "let _s = \"// ams-lint: allow(no-unwrap-in-serve)\";\n    x.unwrap();",
+                &["no-unwrap-in-serve"],
+            ),
+            (
+                "audit",
+                "let _s = \"// ams-audit: allow(panic)\";\n    x.unwrap();",
+                &["hot-path-panic"],
+            ),
+            (
+                "taint",
+                "let n = r.read_line(&mut String::new());\n    \
+                 let _s = \"// ams-taint: allow(tainted-alloc)\";\n    \
+                 let _v: Vec<u8> = Vec::with_capacity(n);",
+                &["tainted-alloc"],
+            ),
+            ("//", "let _u = \"http://x\"; x.unwrap();", &["no-unwrap-in-serve", "hot-path-panic"]),
+        ];
+        let roots = crate::audit::config::parse(
+            "[[root]]\nname = \"r\"\nfunction = \"hot\"\ndeny = [\"panic\"]\n",
+        )
+        .unwrap();
+        for (tag, body, want) in rows {
+            let label = "crates/serve/src/engine.rs".to_string();
+            let src = format!("pub fn hot(r: &mut Reader, x: Option<u8>) {{\n    {body}\n}}\n");
+            let sources = [(label.clone(), src.clone())];
+            let mut diags = crate::lint::lint_source(&label, &src);
+            diags.extend(crate::audit::audit_sources(&sources, &roots).0.diagnostics);
+            diags.extend(taint_sources(&sources, &cfg()).0.diagnostics);
+            let rules: Vec<&str> = diags.iter().map(|d| d.rule.as_str()).collect();
+            for rule in want {
+                assert!(rules.contains(rule), "{tag}: `{rule}` suppressed or hidden: {rules:?}");
+            }
+            assert!(!rules.iter().any(|r| r.ends_with("-bad-suppression")), "{tag}: {rules:?}");
+        }
     }
 }

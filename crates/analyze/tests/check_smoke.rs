@@ -118,23 +118,60 @@ fn guard_across_io_fixture_is_detected_at_the_write() {
 }
 
 #[test]
+fn deep_inversion_fixture_is_reported_through_the_call_chain() {
+    let planted = fixture("conc/deep_inversion.rs");
+    let out = run(&["conc", planted.to_str().unwrap(), "--format", "json"]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let report = json_report(&out);
+    let diags = diagnostics(&report);
+    let cycles: Vec<&Value> = diags.iter().filter(|d| rule_of(d) == "lock-order-cycle").collect();
+    assert_eq!(cycles.len(), 1, "{report:?}");
+    let msg = cycles[0].get("message").and_then(Value::as_str).unwrap();
+    assert!(msg.contains("Bank.ledger") && msg.contains("Bank.audit"), "{msg}");
+    assert!(msg.contains("transfer → a → b"), "{msg}");
+    let hint = cycles[0].get("hint").and_then(Value::as_str).unwrap();
+    assert!(hint.contains("`reconcile`"), "{hint}");
+    let io: Vec<&Value> = diags.iter().filter(|d| rule_of(d) == "no-lock-across-io").collect();
+    assert_eq!(io.len(), 1, "{report:?}");
+    let msg = io[0].get("message").and_then(Value::as_str).unwrap();
+    assert!(msg.contains("Bank.ledger") && msg.contains("write_all"), "{msg}");
+    assert!(msg.contains("publish → send"), "{msg}");
+    assert_eq!(io[0].get("line").and_then(Value::as_f64), Some(42.0), "{msg}");
+}
+
+#[test]
+fn conc_bench_line_records_the_resolved_surface() {
+    let bench = std::env::temp_dir().join(format!("conc-bench-{}.json", std::process::id()));
+    let planted = fixture("conc/deep_inversion.rs");
+    let args = ["conc", planted.to_str().unwrap(), "--bench", bench.to_str().unwrap()];
+    assert_eq!(run(&args).status.code(), Some(1));
+    let text = std::fs::read_to_string(&bench).unwrap();
+    std::fs::remove_file(&bench).ok();
+    let v: Value = serde_json::from_str(text.trim()).unwrap();
+    assert_eq!(v.get("tool").and_then(Value::as_str), Some("ams-check conc"), "{v:?}");
+    assert!(v.get("wall_ms").and_then(Value::as_f64).is_some(), "{v:?}");
+    // transfer, b, reconcile ×2, publish; the a(…) and send(…) calls
+    // release what they take, so they order but are not sites.
+    for (key, want) in [("files", 1.0), ("functions", 6.0), ("acquisitions", 5.0)] {
+        assert_eq!(v.get(key).and_then(Value::as_f64), Some(want), "{key}: {v:?}");
+    }
+    assert!(v.get("edges").and_then(Value::as_f64).unwrap_or(0.0) >= 2.0, "{v:?}");
+}
+
+#[test]
 fn workspace_conc_surface_is_clean_and_exits_zero() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
-    for args in [
-        vec!["conc", "--root", repo_root.to_str().unwrap(), "--format", "json"],
-        vec!["--conc", "--root", repo_root.to_str().unwrap(), "--format", "json"],
-    ] {
-        let out = run(&args);
-        let report = json_report(&out);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{args:?} found errors: {}",
-            serde_json::to_string(&report).unwrap()
-        );
-        assert_eq!(report.get("errors").and_then(Value::as_f64), Some(0.0));
-    }
-    // --conc is a workspace-lint modifier only.
+    let args = ["conc", "--root", repo_root.to_str().unwrap(), "--format", "json"];
+    let out = run(&args);
+    let report = json_report(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?} found errors: {}",
+        serde_json::to_string(&report).unwrap()
+    );
+    assert_eq!(report.get("errors").and_then(Value::as_f64), Some(0.0));
+    // `--conc` is gone: the `conc` subcommand is the one way in.
     assert_eq!(run(&["--conc", "plan", "x.json"]).status.code(), Some(2));
 }
 
