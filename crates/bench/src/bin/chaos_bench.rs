@@ -24,6 +24,7 @@ use ams_bench::exp::results_dir;
 use ams_fault::{FaultSite, SeededFaults};
 use ams_serve::demo::train_demo;
 use ams_serve::{BreakerConfig, ModelArtifact, Registry, Server, ServerConfig};
+use ams_stats::quantile;
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -74,11 +75,6 @@ fn predict_request(company: usize, row: &[f64]) -> String {
 fn batch_request(x: &ams_tensor::Matrix) -> String {
     let rows: Vec<String> = (0..x.rows()).map(|i| features_json(x.row(i))).collect();
     format!(r#"{{"type":"batch_predict","features":[{}]}}"#, rows.join(","))
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Scenario 1: burst past the admission queue with the worker pinned.
@@ -155,7 +151,6 @@ fn latency_scenario(artifact: ModelArtifact, x: &ams_tensor::Matrix) -> (f64, f6
                 lat.push(dt);
             }
         }
-        lat.sort_by(f64::total_cmp);
         lat
     };
 
@@ -165,10 +160,10 @@ fn latency_scenario(artifact: ModelArtifact, x: &ams_tensor::Matrix) -> (f64, f6
     let degraded = measure(x.rows() + 1000, true);
     server.shutdown();
     (
-        percentile(&healthy, 0.5),
-        percentile(&healthy, 0.99),
-        percentile(&degraded, 0.5),
-        percentile(&degraded, 0.99),
+        quantile(&healthy, 0.5),
+        quantile(&healthy, 0.99),
+        quantile(&degraded, 0.5),
+        quantile(&degraded, 0.99),
     )
 }
 

@@ -15,6 +15,7 @@ use ams_core::{AmsConfig, AmsModel, QuarterBatch};
 use ams_graph::CompanyGraph;
 use ams_serve::demo::train_demo;
 use ams_serve::Engine;
+use ams_stats::quantile;
 use ams_tensor::init::standard_normal;
 use ams_tensor::runtime::{seq, Backend, Par, SimdSeq, Workspace};
 use ams_tensor::Matrix;
@@ -77,11 +78,6 @@ fn fit_sec_per_epoch(backend_spec: Option<&str>) -> f64 {
     t.elapsed().as_secs_f64() / FIT_EPOCHS as f64
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Warm batch-prediction latency distribution (µs) on one backend.
 fn serve_latencies(engine: &Engine, x: &Matrix, backend: &dyn Backend) -> (f64, f64) {
     let mut ws = Workspace::new();
@@ -95,8 +91,7 @@ fn serve_latencies(engine: &Engine, x: &Matrix, backend: &dyn Backend) -> (f64, 
             lat.push(dt);
         }
     }
-    lat.sort_by(f64::total_cmp);
-    (percentile(&lat, 0.5), percentile(&lat, 0.99))
+    (quantile(&lat, 0.5), quantile(&lat, 0.99))
 }
 
 /// Warm quantized-path latency (µs): the f32 plan on the vectorized
@@ -117,8 +112,7 @@ fn serve_latencies_f32(engine: &Engine, x: &Matrix) -> (f64, f64) {
             lat.push(dt);
         }
     }
-    lat.sort_by(f64::total_cmp);
-    (percentile(&lat, 0.5), percentile(&lat, 0.99))
+    (quantile(&lat, 0.5), quantile(&lat, 0.99))
 }
 
 fn main() {

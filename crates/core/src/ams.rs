@@ -729,11 +729,11 @@ impl AmsModel {
             );
         }
 
-        // One tape for the whole fit: `reset` drains each epoch's nodes
-        // back into the graph's workspace arena, so after the first
-        // epoch the forward pass runs on recycled buffers instead of
-        // fresh allocations. Bit-exactness is unaffected — the kernels
-        // and accumulation order are identical either way.
+        // One tape for the whole fit: `reset` hands the buffers the
+        // graph's workspace arena issued back to it, so after the first
+        // epoch the heavy ops run on recycled buffers instead of fresh
+        // allocations. Bit-exactness is unaffected — the kernels and
+        // accumulation order are identical either way.
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
         for epoch in start_epoch..self.config.epochs {
             g.reset();

@@ -51,12 +51,6 @@ pub trait Backend<E: Element = f64>: Send + Sync + std::fmt::Debug {
         kernels::matmul(a, b, out, m, k, n);
     }
 
-    /// `out = A·Bᵀ` where `bt` is the logical `Bᵀ` stored row-major
-    /// (`n×k`) — the packed-panel micro-kernel.
-    fn matmul_transb(&self, a: &[E], bt: &[E], out: &mut [E], m: usize, k: usize, n: usize) {
-        kernels::matmul_transb(a, bt, out, m, k, n);
-    }
-
     /// `out = Aᵀ·G` (`a` is `r×m`, `g` is `r×n`, out `m×n`).
     fn matmul_transa(&self, a: &[E], g: &[E], out: &mut [E], r: usize, m: usize, n: usize) {
         kernels::matmul_transa(a, g, out, r, m, n);
@@ -171,19 +165,6 @@ impl<E: Element> Backend<E> for Par {
             // SAFETY: chunks are disjoint row ranges of `out`.
             let rows = unsafe { ptr.rows(lo, hi, n) };
             kernels::matmul_rows(a, b, rows, lo, hi, k, n);
-        });
-    }
-
-    fn matmul_transb(&self, a: &[E], bt: &[E], out: &mut [E], m: usize, k: usize, n: usize) {
-        if m * k * n < PAR_FLOP_THRESHOLD || self.pool.workers() == 1 {
-            return kernels::matmul_transb(a, bt, out, m, k, n);
-        }
-        debug_assert_eq!(out.len(), m * n, "matmul_transb: out buffer");
-        let ptr = SendPtr(out.as_mut_ptr());
-        self.for_row_chunks(m, &|_, lo, hi| {
-            // SAFETY: chunks are disjoint row ranges of `out`.
-            let rows = unsafe { ptr.rows(lo, hi, n) };
-            kernels::matmul_transb_rows(a, bt, rows, lo, hi, k, n);
         });
     }
 

@@ -17,18 +17,20 @@
 //!    accumulator the old code kept clean.
 //!
 //! Both rules live in exactly one place: [`mac_row`], the shared
-//! multiply-accumulate core. All three matmul variants (`A·B`,
-//! `A·Bᵀ`, `Aᵀ·G`) and the naive oracle call it, so there is one MAC
-//! loop to audit, not three near-duplicates.
+//! multiply-accumulate core. Both matmul variants (`A·B`, `Aᵀ·G`) and
+//! the naive oracle call it, so there is one MAC loop to audit, not
+//! several near-duplicates.
 //!
 //! Cache strategy: `B` is row-major, so a `k`-panel of `B` is already
 //! a packed contiguous block — the classic "pack B" step of a blocked
 //! GEMM is a no-op here. [`matmul`] therefore blocks over `i` and `k`
-//! and streams whole rows of `B`; [`matmul_transb`] is the
-//! transposed-B micro-kernel, where `B`'s row-major data *is* the
-//! packed `Bᵀ` panel and each output element is one contiguous dot
-//! product. The backward pass uses it (and [`matmul_transa`]) to fuse
-//! out the tape's materialized transposes.
+//! and streams whole rows of `B`, so its inner loop is a contiguous
+//! `mac_row` that vectorises. The tape's backward `g·Bᵀ` runs it on a
+//! [`transpose`]d copy of `B` rather than on a fused `A·Bᵀ` kernel:
+//! reading `B`'s rows directly gives the same bits, but its inner loop
+//! is a scalar dot product (one accumulator, one zero-skip branch per
+//! term) that cannot vectorise, and on the AMS training tape it cost
+//! more than the copy saves. [`matmul_transa`] serves `Aᵀ·G`.
 
 use crate::element::Element;
 
@@ -95,48 +97,6 @@ pub fn matmul_rows<E: Element>(
     }
 }
 
-/// `out = A·Bᵀ` where `bt` holds `B` row-major as `n×k` — i.e. `bt`'s
-/// rows are the columns of the logical right operand. This is the
-/// packed/transposed-B micro-kernel: each output element is a single
-/// contiguous dot product. Bit-identical to materializing the
-/// transpose and calling [`matmul`] (same per-element accumulation
-/// chain, same zero-skip on the left operand).
-pub fn matmul_transb<E: Element>(a: &[E], bt: &[E], out: &mut [E], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k, "matmul_transb: lhs buffer");
-    debug_assert_eq!(bt.len(), n * k, "matmul_transb: rhs buffer");
-    debug_assert_eq!(out.len(), m * n, "matmul_transb: out buffer");
-    matmul_transb_rows(a, bt, out, 0, m, k, n);
-}
-
-/// Row-range worker behind [`matmul_transb`] (same contract as
-/// [`matmul_rows`]). The contiguous dot product is phrased as `k`
-/// single-lane [`mac_row`] calls on the accumulator; `mac_row` is
-/// `inline(always)`, so the accumulator stays in a register and the
-/// loop compiles to the same scalar chain the hand-written dot did.
-pub fn matmul_transb_rows<E: Element>(
-    a: &[E],
-    bt: &[E],
-    out: &mut [E],
-    lo: usize,
-    hi: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), (hi - lo) * n, "matmul_transb_rows: out buffer");
-    for i in lo..hi {
-        let arow = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[(i - lo) * n..(i - lo + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let brow = &bt[j * k..(j + 1) * k];
-            let mut acc = *o; // zero from the caller's buffer
-            for (&av, bv) in arow.iter().zip(brow) {
-                mac_row(std::slice::from_mut(&mut acc), av, std::slice::from_ref(bv));
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// `out = Aᵀ·G` where `a` is `r×m` and `g` is `r×n`, producing `m×n` —
 /// the `∂L/∂B = Aᵀ·g` term of the matmul VJP, without materializing
 /// `Aᵀ`. Bit-identical to `a.t().matmul(g)`: for each output element
@@ -171,6 +131,19 @@ pub fn matmul_transa_cols<E: Element>(
             let av = a[rr * full_m + i];
             let grow = &g[rr * n..(rr + 1) * n];
             mac_row(out_row, av, grow);
+        }
+    }
+}
+
+/// `out = Aᵀ`: `a` is `rows×cols` row-major and `out` receives the
+/// `cols×rows` transpose. A pure copy, so it cannot change a bit of
+/// any product computed on it.
+pub fn transpose<E: Element>(a: &[E], out: &mut [E], rows: usize, cols: usize) {
+    debug_assert_eq!(a.len(), rows * cols, "transpose: input buffer");
+    debug_assert_eq!(out.len(), rows * cols, "transpose: out buffer");
+    for r in 0..rows {
+        for c in 0..cols {
+            out[c * rows + r] = a[r * cols + c];
         }
     }
 }
@@ -327,25 +300,18 @@ mod tests {
         let mut out = [0.0];
         matmul(&a, &b, &mut out, 1, 2, 1);
         assert_eq!(out[0], 2.0);
-        let mut out_t = [0.0];
-        matmul_transb(&a, &b, &mut out_t, 1, 2, 1);
-        assert_eq!(out_t[0], 2.0);
     }
 
     #[test]
-    fn transb_matches_matmul_with_materialized_transpose() {
-        let (m, k, n) = (9, 37, 6);
-        let a = mat(m, k, |r, c| (r as f64 - 3.0) * 0.25 + c as f64 * 0.125);
-        let bt = mat(n, k, |r, c| ((r * 5 + c) % 17) as f64 * 0.5 - 4.0);
-        // Materialize B from Bᵀ and run the reference kernel.
-        let b = mat(k, n, |r, c| bt[c * k + r]);
-        let mut want = vec![0.0; m * n];
-        matmul_naive(&a, &b, &mut want, m, k, n);
-        let mut got = vec![0.0; m * n];
-        matmul_transb(&a, &bt, &mut got, m, k, n);
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
+    fn transpose_round_trips() {
+        let (rows, cols) = (3, 5);
+        let a = mat(rows, cols, |r, c| (r * cols + c) as f64);
+        let mut at = vec![0.0; rows * cols];
+        transpose(&a, &mut at, rows, cols);
+        assert_eq!(at[..rows], [0.0, 5.0, 10.0]);
+        let mut back = vec![0.0; rows * cols];
+        transpose(&at, &mut back, cols, rows);
+        assert_eq!(back, a);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! 1. **Kernels** ([`kernels`]): cache-blocked row-major routines,
 //!    generic over the scalar ([`Element`]: `f64` or `f32`) — blocked
-//!    matmul with a packed/transposed-B micro-kernel, the two
-//!    transpose-fused products the tape's backward pass needs, fused
-//!    bias addition, `axpy`, row-wise masked softmax. The `f64`
+//!    matmul, the transpose-fused `Aᵀ·G` product and the transpose the
+//!    tape's backward pass needs, fused bias addition, `axpy`, row-wise
+//!    masked softmax. The `f64`
 //!    instantiation preserves the exact accumulation order of the
 //!    historical `Matrix` loops, so refactoring onto the runtime
 //!    changes no result bit.

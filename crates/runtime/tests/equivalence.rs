@@ -50,32 +50,6 @@ proptest! {
         assert_bits_eq(&want, &got, "blocked")?;
     }
 
-    /// The transposed-B micro-kernel agrees bitwise with the naive
-    /// product of the materialized transpose.
-    #[test]
-    fn transb_matches_naive_bitwise(
-        m in 1usize..MAX_M,
-        k in 0usize..MAX_K,
-        n in 1usize..MAX_N,
-        pool in prop::collection::vec(-8.0f64..8.0, MAX_M * MAX_K + MAX_K * MAX_N)
-            .prop_map(sparsify),
-    ) {
-        let a = &pool[..m * k];
-        let bt = &pool[MAX_M * MAX_K..MAX_M * MAX_K + n * k]; // n×k = logical Bᵀ
-        // Materialize B (k×n) from bt and multiply naively.
-        let mut b = vec![0.0; k * n];
-        for kk in 0..k {
-            for j in 0..n {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        let mut want = vec![0.0; m * n];
-        kernels::matmul_naive(a, &b, &mut want, m, k, n);
-        let mut got = vec![0.0; m * n];
-        kernels::matmul_transb(a, bt, &mut got, m, k, n);
-        assert_bits_eq(&want, &got, "transb")?;
-    }
-
     /// Aᵀ·G fused kernel agrees bitwise with naive on the materialized
     /// transpose.
     #[test]

@@ -723,12 +723,16 @@ mod tests {
         let warm = engine.predict_batch_with(x, &Seq, &mut ws).unwrap();
         ws.give(warm.into_vec());
         let (allocs_after_warmup, _) = ws.counters();
+        let pooled_after_warmup = ws.pooled();
         for _ in 0..5 {
             let pred = engine.predict_batch_with(x, &Seq, &mut ws).unwrap();
             ws.give(pred.into_vec());
         }
         let (allocs, _) = ws.counters();
         assert_eq!(allocs, allocs_after_warmup, "prediction hot path allocated after warm-up");
+        // A balanced arena: every request gives back what it took, so
+        // the free list (and each best-fit scan of it) does not grow.
+        assert_eq!(ws.pooled(), pooled_after_warmup, "prediction hot path leaked into the arena");
     }
 
     #[test]

@@ -92,6 +92,9 @@ enum Op {
 struct Node {
     op: Op,
     value: Matrix,
+    /// The value buffer came from the graph's [`Workspace`]; only such
+    /// buffers go back to it on [`Graph::reset`].
+    pooled: bool,
 }
 
 /// Gradients produced by [`Graph::backward`], indexed by [`Var`].
@@ -121,11 +124,13 @@ impl Gradients {
 
 /// A define-by-run computation tape.
 ///
-/// Heavy forward ops (matmul, masked softmax, row-wise dot) and the
-/// matmul backward pass execute on the graph's [`Backend`]; output
-/// buffers come from an internal [`Workspace`] so a tape that is
-/// [`Graph::reset`] between iterations (the training epoch loop)
-/// stops allocating once warm.
+/// Heavy forward ops (matmul, bias add, masked softmax, row-wise dot)
+/// and the matmul backward pass execute on the graph's [`Backend`]
+/// with buffers from an internal [`Workspace`]. The arena is balanced:
+/// [`Graph::reset`] returns exactly the buffers the workspace issued,
+/// so across a reset/re-run loop (the training epoch loop) its free
+/// list keeps a fixed length and those ops stop allocating once warm.
+/// The other ops allocate their values and free them on reset.
 pub struct Graph {
     nodes: Vec<Node>,
     finite_checks: bool,
@@ -157,13 +162,18 @@ impl Graph {
         Arc::clone(&self.backend)
     }
 
-    /// Clear the tape, recycling node value buffers into the internal
-    /// workspace. A define-by-run training loop calls this between
-    /// iterations instead of building a fresh `Graph`, making later
-    /// forward passes allocation-light.
+    /// Clear the tape, giving the buffers the internal workspace issued
+    /// back to it; every other node value is dropped. A define-by-run
+    /// training loop calls this between iterations instead of building
+    /// a fresh `Graph`, so later passes reuse those buffers. Returning
+    /// only what was issued keeps the free list, and so the cost of
+    /// each best-fit [`Workspace::take`], from growing with every
+    /// iteration.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            self.ws.give(node.value.into_vec());
+            if node.pooled {
+                self.ws.give(node.value.into_vec());
+            }
         }
     }
 
@@ -171,6 +181,12 @@ impl Graph {
     /// the steady-state-no-allocation property of reset/re-run loops.
     pub fn workspace_counters(&self) -> (usize, usize) {
         self.ws.counters()
+    }
+
+    /// Buffers on the internal workspace's free list. Constant across
+    /// warm reset/re-run cycles exactly when the arena is balanced.
+    pub fn workspace_pooled(&self) -> usize {
+        self.ws.pooled()
     }
 
     /// Opt into checking every recorded value for NaN/∞ at record time,
@@ -208,8 +224,15 @@ impl Graph {
         } else {
             debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
         }
-        self.nodes.push(Node { op, value });
+        self.nodes.push(Node { op, value, pooled: false });
         Var(self.nodes.len() - 1)
+    }
+
+    /// [`Graph::push`] for a value whose buffer came from `self.ws`.
+    fn push_pooled(&mut self, op: Op, value: Matrix) -> Var {
+        let var = self.push(op, value);
+        self.nodes[var.0].pooled = true;
+        var
     }
 
     /// Record a leaf holding `value` (an input or a parameter snapshot).
@@ -273,7 +296,7 @@ impl Graph {
             n,
         );
         let v = Matrix::from_vec(m, n, data);
-        self.push(Op::MatMul(a, b), v)
+        self.push_pooled(Op::MatMul(a, b), v)
     }
 
     /// `alpha * x + beta` element-wise.
@@ -328,7 +351,7 @@ impl Graph {
         data.copy_from_slice(self.nodes[x.0].value.as_slice());
         kernels::add_bias_rows(&mut data, self.nodes[bias.0].value.as_slice(), rows, cols);
         let out = Matrix::from_vec(rows, cols, data);
-        self.push(Op::AddRowBroadcast(x, bias), out)
+        self.push_pooled(Op::AddRowBroadcast(x, bias), out)
     }
 
     /// `out[i][j] = u[i] + v[j]` from column vectors.
@@ -361,7 +384,7 @@ impl Graph {
             cols,
         );
         let out = Matrix::from_vec(rows, cols, data);
-        self.push(Op::MaskedSoftmaxRows(x, Rc::new(mask.clone())), out)
+        self.push_pooled(Op::MaskedSoftmaxRows(x, Rc::new(mask.clone())), out)
     }
 
     /// Horizontal concatenation (multi-head attention outputs, Eq. 3).
@@ -408,7 +431,7 @@ impl Graph {
             cols,
         );
         let out = Matrix::from_vec(rows, 1, data);
-        self.push(Op::RowwiseDot(a, b), out)
+        self.push_pooled(Op::RowwiseDot(a, b), out)
     }
 
     /// Select rows by index (repetition allowed).
@@ -482,22 +505,17 @@ impl Graph {
                     self.accumulate(&mut grads, a, gx);
                 }
                 Op::MatMul(a, b) => {
-                    // Fused transpose products: B (k×n, row-major) is
-                    // already the packed layout the transposed-B kernel
-                    // wants for ga = g·Bᵀ, and gb = Aᵀ·g reads A columns
-                    // directly — no transpose is materialized, and both
-                    // keep the historical accumulation order bit-for-bit.
+                    // ga = g·Bᵀ runs the blocked (vectorising) matmul on
+                    // Bᵀ copied into an arena buffer; gb = Aᵀ·g reads A's
+                    // columns directly. Both keep the historical
+                    // accumulation order and zero-skip bit-for-bit.
                     let (m, n) = g.shape();
                     let k = self.nodes[a.0].value.cols();
+                    let mut bt = self.ws.take(n * k);
+                    kernels::transpose(self.nodes[b.0].value.as_slice(), &mut bt, k, n);
                     let mut ga = Matrix::zeros(m, k);
-                    self.backend.matmul_transb(
-                        g.as_slice(),
-                        self.nodes[b.0].value.as_slice(),
-                        ga.as_mut_slice(),
-                        m,
-                        n,
-                        k,
-                    );
+                    self.backend.matmul(g.as_slice(), &bt, ga.as_mut_slice(), m, n, k);
+                    self.ws.give(bt);
                     let mut gb = Matrix::zeros(k, n);
                     self.backend.matmul_transa(
                         self.nodes[a.0].value.as_slice(),

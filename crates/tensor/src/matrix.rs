@@ -158,11 +158,7 @@ impl Matrix {
     /// Transpose.
     pub fn t(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
+        kernels::transpose(&self.data, &mut out.data, self.rows, self.cols);
         out
     }
 
