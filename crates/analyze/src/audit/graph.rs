@@ -14,10 +14,12 @@
 //!    typed parameter, a `let`-bound local of known type, or a
 //!    `self.field.…` chain walked through struct field types (smart
 //!    pointers `Option`/`Arc`/`Box`/`Mutex`/… are stripped). A
+//!    parameter of generic type `O: Trait` has type `Trait`. A
 //!    receiver of trait type produces a dispatch edge.
 //! 3. **Unknown receiver fallback** — if exactly one workspace trait
-//!    declares the method name, dispatch through that trait; else if
-//!    exactly one workspace function bears the name, a static edge.
+//!    declares the method name with as many parameters as the call
+//!    passes arguments, dispatch through that trait; else if exactly
+//!    one workspace function bears the name, a static edge.
 //!    Expression receivers (`a.b().c(`) only get the trait-unique
 //!    half of this fallback.
 //! 4. Anything else is *unresolved* and contributes no edge. This is
@@ -39,7 +41,7 @@
 
 use super::facts::{Fact, Tier};
 use super::model::{FnModel, WorkspaceModel};
-use crate::source::is_ident_byte;
+use crate::source::{self, is_ident_byte};
 use std::collections::BTreeMap;
 
 /// Per-function level for each fact, indexed by [`fact_index`].
@@ -183,20 +185,26 @@ impl<'m> Indexes<'m> {
         Vec::new() // known type, unknown method: a std method — skip.
     }
 
-    /// Unknown-receiver fallback (policy step 3).
+    /// Unknown-receiver fallback (policy step 3). Only traits whose
+    /// method takes `args` arguments (when the call's are countable)
+    /// are candidates: `ptr.add(n)` is not a two-argument trait `add`.
     fn fallback(
         &self,
         name: &str,
+        args: Option<usize>,
         bind: &BTreeMap<String, String>,
         trait_only: bool,
     ) -> Vec<usize> {
-        if let Some(trs) = self.traits_declaring.get(name) {
-            if trs.len() == 1 {
-                return self.dispatch(&trs[0], name, bind);
-            }
-            if !trs.is_empty() {
-                return Vec::new(); // ambiguous across traits
-            }
+        let declared = self.traits_declaring.get(name).map(Vec::as_slice).unwrap_or(&[]);
+        let arity = |tr: &String| self.model.trait_arity.get(&(tr.clone(), name.to_string()));
+        let trs: Vec<&String> = declared
+            .iter()
+            .filter(|tr| args.is_none() || arity(tr).is_none_or(|a| Some(*a) == args))
+            .collect();
+        match trs.as_slice() {
+            [tr] => return self.dispatch(tr, name, bind),
+            [] => {}
+            _ => return Vec::new(), // ambiguous across traits
         }
         if trait_only {
             return Vec::new();
@@ -285,12 +293,14 @@ fn calls_on_line(
             continue; // macro — fact tokens already cover these
         }
         if before == b'.' {
+            let args =
+                source::balanced(code, pos).map(|(s, e)| source::split_args(&code[s..e]).len());
             let resolved = match receiver_chain(code, j - 1) {
                 Some(segs) => match chain_type(fun, idx.model, &segs) {
                     Some(ty) => idx.on_type(&ty, name, bind),
-                    None => idx.fallback(name, bind, false),
+                    None => idx.fallback(name, args, bind, false),
                 },
-                None => idx.fallback(name, bind, true),
+                None => idx.fallback(name, args, bind, true),
             };
             out.extend(resolved.into_iter().map(|c| (j, c)));
             continue;
@@ -666,6 +676,49 @@ mod tests {
         // Seq has no override → the trait default body only.
         let default = m.fns.iter().position(|f| f.name == "run" && f.is_trait_default).unwrap();
         assert_eq!(callees, vec![default]);
+    }
+
+    #[test]
+    fn generic_receivers_dispatch_through_their_bound() {
+        // `ops: &mut O` with `O: Ops` resolves as the trait `Ops`, so a
+        // bind picks the implementor; `p.add(3)` on a receiver of
+        // unknown type is not the two-argument `Ops::add`.
+        let src = "pub trait Ops {\n\
+                   \x20   fn add(&mut self, a: usize, b: usize) -> usize;\n\
+                   }\n\
+                   pub struct Tape;\n\
+                   impl Ops for Tape {\n\
+                   \x20   fn add(&mut self, a: usize, b: usize) -> usize {\n\
+                   \x20       a + b\n\
+                   \x20   }\n\
+                   }\n\
+                   pub struct Exec;\n\
+                   impl Ops for Exec {\n\
+                   \x20   fn add(&mut self, a: usize, b: usize) -> usize {\n\
+                   \x20       a + b\n\
+                   \x20   }\n\
+                   }\n\
+                   fn forward<'a, O: Ops + Send>(ops: &mut O) -> usize {\n\
+                   \x20   ops.add(1, 2)\n\
+                   }\n\
+                   fn kernel(n: usize) -> usize {\n\
+                   \x20   let p = base(n);\n\
+                   \x20   p.add(3)\n\
+                   }\n\
+                   fn base(n: usize) -> usize {\n\
+                   \x20   n\n\
+                   }\n";
+        let m = model_of(src);
+        let add_of = |ty: &str| {
+            m.fns.iter().position(|f| f.name == "add" && f.impl_type.as_deref() == Some(ty))
+        };
+        let mut bind = BTreeMap::new();
+        bind.insert("Ops".to_string(), "Exec".to_string());
+        let g = build(&m, &bind);
+        let callees: Vec<usize> = g.edges[idx_of(&m, "forward")].iter().map(|e| e.callee).collect();
+        assert_eq!(callees, vec![add_of("Exec").unwrap()]);
+        let kernel: Vec<usize> = g.edges[idx_of(&m, "kernel")].iter().map(|e| e.callee).collect();
+        assert_eq!(kernel, vec![idx_of(&m, "base")]);
     }
 
     #[test]

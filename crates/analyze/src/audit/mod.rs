@@ -106,14 +106,14 @@ fn locate(model: &WorkspaceModel, spec: &RootSpec) -> Result<usize, Box<Diagnost
     }
 }
 
-/// Reachable-closure size from `root` (root included).
-fn closure_size(root: usize, g: &CallGraph) -> usize {
+/// The functions reachable from `root` (root included).
+fn closure(root: usize, g: &CallGraph) -> Vec<usize> {
     let mut seen = vec![false; g.edges.len()];
     seen[root] = true;
     let mut stack = vec![root];
-    let mut n = 0;
+    let mut out = Vec::new();
     while let Some(u) = stack.pop() {
-        n += 1;
+        out.push(u);
         for e in &g.edges[u] {
             if !seen[e.callee] {
                 seen[e.callee] = true;
@@ -121,7 +121,7 @@ fn closure_size(root: usize, g: &CallGraph) -> usize {
             }
         }
     }
-    n
+    out
 }
 
 fn fact_free(f: Fact) -> &'static str {
@@ -248,13 +248,33 @@ pub fn audit_sources(sources: &[(String, String)], roots: &[RootSpec]) -> (Repor
                     spec.name,
                     spec.function,
                     verdicts,
-                    closure_size(idx, g)
+                    closure(idx, g).len()
                 ),
             )]);
         }
     }
     report.sort();
     (report, stats)
+}
+
+/// The call closure of the `config` root named `name` over the
+/// workspace under `root`, under that root's binds: `Type::method` (or
+/// free fn) names, sorted.
+pub fn root_closure(root: &Path, config: &Path, name: &str) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(config)
+        .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
+    let roots = config::parse(&text)?;
+    let spec = roots.iter().find(|r| r.name == name).ok_or(format!("no root `{name}`"))?;
+    let mut model = WorkspaceModel::default();
+    for (label, content) in source::load(root, &source::workspace_sources(root)?)? {
+        model::parse_file(&label, &content, &mut model);
+    }
+    let idx = locate(&model, spec).map_err(|d| d.message)?;
+    let g = graph::build(&model, &spec.bind);
+    let mut names: Vec<String> =
+        closure(idx, &g).into_iter().map(|i| model.fns[i].qualified()).collect();
+    names.sort();
+    Ok(names)
 }
 
 /// Audit every workspace source under `root` against `config`.

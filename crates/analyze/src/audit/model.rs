@@ -101,6 +101,8 @@ pub struct WorkspaceModel {
     pub fns: Vec<FnModel>,
     /// Trait name → declared method names (including defaults).
     pub traits: BTreeMap<String, BTreeSet<String>>,
+    /// `(trait, method)` → parameters besides the receiver.
+    pub trait_arity: BTreeMap<(String, String), usize>,
     /// Trait name → implementing type names.
     pub trait_impls: BTreeMap<String, Vec<String>>,
     /// Struct name → field name → field type identifier.
@@ -301,6 +303,34 @@ fn signature_params(sig: &str) -> Vec<String> {
     out
 }
 
+/// Type parameter → its first trait bound, from the `<…>` list that
+/// `rest` (the signature after the fn name) starts with:
+/// `<'a, O: ForwardOps + Send, T>` → `{O: ForwardOps}`.
+fn generic_bounds(rest: &str) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    if !rest.starts_with('<') {
+        return out;
+    }
+    let mut depth = 0usize;
+    let end = rest.char_indices().find_map(|(i, c)| {
+        match c {
+            '<' => depth += 1,
+            '>' => depth -= 1,
+            _ => {}
+        }
+        (depth == 0).then_some(i)
+    });
+    for (_, param) in source::split_args(&rest[1..end.unwrap_or(rest.len())]) {
+        if let Some((ty, bound)) = param.split_once(':') {
+            let first = bound.split('+').next().unwrap_or("");
+            if let Some(tr) = type_ident(first).filter(|_| !ty.trim().starts_with('\'')) {
+                out.insert(ty.trim().to_string(), tr);
+            }
+        }
+    }
+    out
+}
+
 /// Build a [`FnModel`] from an accumulated signature (`fn …` through
 /// the opening `{` or trailing `;`).
 fn finish_signature(
@@ -313,15 +343,18 @@ fn finish_signature(
 ) -> FnModel {
     let after_fn = sig.trim_start_matches("fn").trim_start();
     let name = ident(after_fn).to_string();
+    let bounds = generic_bounds(&after_fn[name.len()..]);
     let params = signature_params(sig)
         .into_iter()
         .filter_map(|p| {
             let colon = p.find(':')?;
             let pname = p[..colon].trim().trim_start_matches("mut ").trim();
             let ty = &p[colon + 1..];
+            // A parameter of generic type `O: Trait` resolves as `Trait`.
+            let ty_id = type_ident(ty).map(|t| bounds.get(&t).cloned().unwrap_or(t));
             pname.chars().all(is_ident_char).then(|| Param {
                 name: pname.to_string(),
-                ty: type_ident(ty),
+                ty: ty_id,
                 lock: lock_kind(ty),
             })
         })
@@ -478,13 +511,13 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
             if trimmed.contains('{') {
                 let (it, ti, td) = owner_of(&impl_ctx, &trait_ctx);
                 let f = finish_signature(text, it, ti, td, label, *decl_line);
-                register_trait_method(model, &trait_ctx, &f.name);
+                register_trait_method(model, &trait_ctx, &f.name, text);
                 fn_ctx = Some((f, *fn_indent));
                 sig = None;
             } else if trimmed.ends_with(';') {
                 // Trait method declaration without a body.
                 let name = ident(text.trim_start_matches("fn").trim_start()).to_string();
-                register_trait_method(model, &trait_ctx, &name);
+                register_trait_method(model, &trait_ctx, &name, text);
                 sig = None;
             }
             continue;
@@ -526,7 +559,7 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
             if rest.contains('{') {
                 let (it, ti, td) = owner_of(&impl_ctx, &trait_ctx);
                 let mut f = finish_signature(rest, it, ti, td, label, line_no);
-                register_trait_method(model, &trait_ctx, &f.name);
+                register_trait_method(model, &trait_ctx, &f.name, rest);
                 // Single-line body (`fn f() -> T { expr }`): braces
                 // balance on the decl line, so the fn is complete.
                 let net: i64 = rest
@@ -549,7 +582,7 @@ pub fn parse_file(label: &str, content: &str, model: &mut WorkspaceModel) {
                 }
             } else if rest.ends_with(';') {
                 let name = ident(rest.trim_start_matches("fn").trim_start()).to_string();
-                register_trait_method(model, &trait_ctx, &name);
+                register_trait_method(model, &trait_ctx, &name, rest);
             } else {
                 sig = Some((rest.to_string(), indent, line_no));
             }
@@ -613,10 +646,14 @@ fn register_trait_method(
     model: &mut WorkspaceModel,
     trait_ctx: &Option<(String, usize)>,
     name: &str,
+    sig: &str,
 ) {
     if let Some((tr, _)) = trait_ctx {
         if !name.is_empty() {
             model.traits.entry(tr.clone()).or_default().insert(name.to_string());
+            // The receiver is the one parameter without a `:`.
+            let arity = signature_params(sig).iter().filter(|p| p.contains(':')).count();
+            model.trait_arity.insert((tr.clone(), name.to_string()), arity);
         }
     }
 }

@@ -72,3 +72,34 @@ fn static_and_dynamic_alloc_oracles_agree_on_the_serve_hot_path() {
     );
     assert!(reuses > 0, "arena never reused a buffer — the dynamic oracle saw no traffic");
 }
+
+/// The serve hot path runs the one generic AMS forward: its closure
+/// must reach the engine's `Executor` ops and through them the kernels,
+/// and must not reach the training tape (`Graph`, `Tape`) — the
+/// `ForwardOps = Executor` bind in audit.toml is what keeps dispatch on
+/// the serving side.
+#[test]
+fn serve_batch_closure_runs_the_executor_not_the_tape() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let closure = audit::root_closure(&root, &root.join("audit.toml"), "serve-batch-hot-path")
+        .expect("closure of the serve batch root");
+    for want in [
+        "AmsModel::forward",
+        "GatLayer::forward",
+        "GatHead::forward",
+        "Executor::matmul",
+        "Executor::outer_sum",
+        "Executor::leaky_relu",
+        "Executor::masked_softmax_rows",
+        "Executor::concat_push",
+        "Executor::rowwise_dot",
+        "masked_softmax_rows",
+        "add_bias_rows",
+        "matmul",
+    ] {
+        assert!(closure.iter().any(|f| f == want), "`{want}` missing from {closure:?}");
+    }
+    let tape: Vec<&String> =
+        closure.iter().filter(|f| f.starts_with("Graph::") || f.starts_with("Tape::")).collect();
+    assert!(tape.is_empty(), "tape methods in the serve closure: {tape:?}");
+}

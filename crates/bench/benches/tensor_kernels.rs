@@ -35,7 +35,7 @@ fn bench_ridge_solve(c: &mut Criterion) {
 }
 
 fn bench_gat_layer(c: &mut Criterion) {
-    use ams_core::GatLayer;
+    use ams_core::{GatLayer, GatSpec, Tape};
     let mut rng = StdRng::seed_from_u64(3);
     let n = 71;
     let layer = GatLayer::hidden(48, 8, 4, &mut rng);
@@ -45,13 +45,15 @@ fn bench_gat_layer(c: &mut Criterion) {
         (0..n).map(|i| (0..12).map(|t| ((i * 7 + t * 13) % 29) as f64).collect()).collect();
     let graph = CompanyGraph::from_series(&series, GraphConfig::default());
     let mask = Matrix::from_vec(n, n, graph.dense_mask());
+    let spec = GatSpec { heads: layer.heads.len(), leaky_slope: layer.leaky_slope };
 
     c.bench_function("gat_layer_forward_71x48_4heads", |b| {
         b.iter(|| {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
             let pv: Vec<_> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-            black_box(layer.forward(&mut g, x, &mask, &pv));
+            let Ok(y) = GatLayer::forward(&mut Tape::new(&mut g, &mask, &pv), &x, &spec, 0);
+            black_box(y);
         });
     });
 
@@ -60,7 +62,7 @@ fn bench_gat_layer(c: &mut Criterion) {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
             let pv: Vec<_> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-            let y = layer.forward(&mut g, x, &mask, &pv);
+            let Ok(y) = GatLayer::forward(&mut Tape::new(&mut g, &mask, &pv), &x, &spec, 0);
             let loss = g.sq_frobenius(y);
             black_box(g.backward(loss));
         });

@@ -14,7 +14,7 @@
 //! and generator parameters plus `β_c`.
 
 use ams_graph::CompanyGraph;
-use ams_tensor::init::{dropout_mask, he_uniform};
+use ams_tensor::init::he_uniform;
 use ams_tensor::runtime::{Backend, BackendChoice};
 use ams_tensor::{ridge_solve, Adam, AdamState, Graph, Matrix, Var};
 use rand::rngs::StdRng;
@@ -22,7 +22,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::checkpoint::{self, CheckpointConfig, FitHalted, TrainCheckpoint};
-use crate::gat::GatLayer;
+use crate::forward::{Arch, ForwardOps, Tape};
+use crate::gat::{GatHead, GatLayer};
 
 /// AMS hyperparameters. The γ / λ_slg / λ₁ knobs are the ones the
 /// paper's random search tunes per CV fold.
@@ -75,6 +76,24 @@ pub struct AmsConfig {
     /// knob only chooses how the kernels execute, never what they
     /// compute, so it is safe to flip between training and serving.
     pub backend: Option<String>,
+}
+
+impl AmsConfig {
+    /// The `d×m` 0/1 matrix selecting the slave columns from a width-`d`
+    /// feature row; `None` when the slave model reads every column.
+    ///
+    /// # Panics
+    /// Panics if a slave column is out of range for width `d`.
+    pub fn slave_selection(&self, d: usize) -> Option<Matrix> {
+        self.slave_cols.as_ref().map(|cols| {
+            let mut s = Matrix::zeros(d, cols.len());
+            for (j, &c) in cols.iter().enumerate() {
+                assert!(c < d, "slave column {c} out of range for width {d}");
+                s[(c, j)] = 1.0;
+            }
+            s
+        })
+    }
 }
 
 impl Default for AmsConfig {
@@ -133,6 +152,30 @@ pub struct ModelSnapshot {
     pub mask: Option<Matrix>,
 }
 
+impl ModelSnapshot {
+    /// Every trained parameter in the order the forward reads them —
+    /// node transform, GAT heads, generator, β_c — as `(name, value,
+    /// whether Eq. 11's L2 applies)`: weights and β_c, not biases.
+    pub fn params(&self) -> Vec<(String, &Matrix, bool)> {
+        let mut out = Vec::new();
+        for (i, l) in self.nt.iter().enumerate() {
+            out.extend([(format!("nt[{i}].w"), &l.w, true), (format!("nt[{i}].b"), &l.b, false)]);
+        }
+        for (g, layer) in self.gat.iter().enumerate() {
+            for (h, head) in layer.heads.iter().enumerate() {
+                out.push((format!("gat[{g}].head[{h}].w"), &head.w, true));
+                out.push((format!("gat[{g}].head[{h}].a_left"), &head.a_left, true));
+                out.push((format!("gat[{g}].head[{h}].a_right"), &head.a_right, true));
+            }
+        }
+        for (i, l) in self.gen.iter().enumerate() {
+            out.extend([(format!("gen[{i}].w"), &l.w, true), (format!("gen[{i}].b"), &l.b, false)]);
+        }
+        out.push(("beta_c".to_string(), &self.beta_c, true));
+        out
+    }
+}
+
 /// One affine layer: weight `in×out` and bias `1×out`.
 ///
 /// Stored as a named struct (not a tuple) so the snapshot JSON is
@@ -161,19 +204,10 @@ pub struct TrainingAudit {
 
 /// The fitted AMS model.
 pub struct AmsModel {
-    config: AmsConfig,
-    /// Node-transform layers (W `in×out`, b `1×out`).
-    nt: Vec<(Matrix, Matrix)>,
-    /// GAT stack: hidden multi-head layers then a single-head output.
-    gat: Vec<GatLayer>,
-    /// Generator layers (W, b); the last maps to the slave-LR width d.
-    gen: Vec<(Matrix, Matrix)>,
-    /// Globally optimized assembly component β_c (d×1).
-    beta_c: Matrix,
-    /// Anchored LR coefficients B_acr (d×1), fitted in phase 1.
-    b_acr: Option<Matrix>,
-    /// Dense adjacency mask of the training graph.
-    mask: Option<Matrix>,
+    /// Configuration and learned state: exactly what
+    /// [`AmsModel::snapshot`] exports. Before `fit` the layers are
+    /// empty and `mask` is `None`.
+    state: ModelSnapshot,
     /// Kernel execution backend resolved from `config.backend`.
     backend: Arc<dyn Backend>,
 }
@@ -200,7 +234,7 @@ impl AmsModel {
         assert!((0.0..=1.0).contains(&config.gamma), "gamma outside [0,1]");
         assert!(config.lambda_slg >= 0.0 && config.lambda_l2 >= 0.0);
         let backend = resolve_backend(&config);
-        Self {
+        let state = ModelSnapshot {
             config,
             nt: Vec::new(),
             gat: Vec::new(),
@@ -208,62 +242,39 @@ impl AmsModel {
             beta_c: Matrix::zeros(0, 0),
             b_acr: None,
             mask: None,
-            backend,
-        }
+        };
+        Self { state, backend }
     }
 
     /// The configuration this model was built with.
     pub fn config(&self) -> &AmsConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The anchored LR `B_acr` (available after `fit`), in slave-column
     /// space.
     pub fn anchored(&self) -> Option<&Matrix> {
-        self.b_acr.as_ref()
-    }
-
-    /// Width of the slave-LR weight vector for feature width `d`.
-    fn slave_dim(&self, d: usize) -> usize {
-        self.config.slave_cols.as_ref().map_or(d, |c| c.len())
-    }
-
-    /// 0/1 selection matrix mapping full features to slave columns.
-    fn selection(&self, d: usize) -> Matrix {
-        match &self.config.slave_cols {
-            None => Matrix::eye(d),
-            Some(cols) => {
-                let mut s = Matrix::zeros(d, cols.len());
-                for (j, &c) in cols.iter().enumerate() {
-                    assert!(c < d, "slave column {c} out of range for width {d}");
-                    s[(c, j)] = 1.0;
-                }
-                s
-            }
-        }
+        self.state.b_acr.as_ref()
     }
 
     fn build_params(&mut self, d: usize, rng: &mut StdRng) {
-        self.nt.clear();
-        self.gat.clear();
-        self.gen.clear();
+        let ModelSnapshot { config, nt, gat, gen, beta_c, .. } = &mut self.state;
+        nt.clear();
+        gat.clear();
+        gen.clear();
         let mut w_in = d;
-        for &w_out in &self.config.nt_hidden {
-            self.nt.push((he_uniform(w_in, w_out, rng), Matrix::zeros(1, w_out)));
+        for &w_out in &config.nt_hidden {
+            nt.push(LinearLayer { w: he_uniform(w_in, w_out, rng), b: Matrix::zeros(1, w_out) });
             w_in = w_out;
         }
-        let hidden = GatLayer::hidden(w_in, self.config.gat_hidden, self.config.gat_heads, rng);
+        let hidden = GatLayer::hidden(w_in, config.gat_hidden, config.gat_heads, rng);
         let hidden_out = hidden.out_dim();
-        self.gat.push(hidden);
-        self.gat.push(GatLayer::output(hidden_out, self.config.gat_out, rng));
-        let nt_out = if self.config.nt_hidden.is_empty() {
-            d
-        } else {
-            *self.config.nt_hidden.last().expect("nonempty")
-        };
-        let mut g_in = self.config.gat_out + if self.config.residual { nt_out } else { 0 };
-        for &w_out in &self.config.gen_hidden {
-            self.gen.push((he_uniform(g_in, w_out, rng), Matrix::zeros(1, w_out)));
+        gat.push(hidden);
+        gat.push(GatLayer::output(hidden_out, config.gat_out, rng));
+        let nt_out = config.nt_hidden.last().copied().unwrap_or(d);
+        let mut g_in = config.gat_out + if config.residual { nt_out } else { 0 };
+        for &w_out in &config.gen_hidden {
+            gen.push(LinearLayer { w: he_uniform(g_in, w_out, rng), b: Matrix::zeros(1, w_out) });
             g_in = w_out;
         }
         // Final projection to the slave-LR weight vector (no
@@ -272,27 +283,14 @@ impl AmsModel {
         // anchored LR and training learns per-company *residual*
         // adaptation — the optimization-friendly reading of the
         // supervised-generation idea (Eq. 8).
-        let m = self.slave_dim(d);
-        self.gen.push((Matrix::zeros(g_in, m), Matrix::zeros(1, m)));
-        self.beta_c = Matrix::zeros(m, 1);
+        let m = config.slave_cols.as_ref().map_or(d, Vec::len);
+        gen.push(LinearLayer { w: Matrix::zeros(g_in, m), b: Matrix::zeros(1, m) });
+        *beta_c = Matrix::zeros(m, 1);
     }
 
     /// Flat parameter list in the canonical order used for Adam.
     fn param_list(&self) -> Vec<Matrix> {
-        let mut out = Vec::new();
-        for (w, b) in &self.nt {
-            out.push(w.clone());
-            out.push(b.clone());
-        }
-        for layer in &self.gat {
-            out.extend(layer.params().into_iter().cloned());
-        }
-        for (w, b) in &self.gen {
-            out.push(w.clone());
-            out.push(b.clone());
-        }
-        out.push(self.beta_c.clone());
-        out
+        self.state.params().into_iter().map(|(_, p, _)| p.clone()).collect()
     }
 
     /// Human names for every slot of [`AmsModel::param_list`], in the
@@ -300,130 +298,116 @@ impl AmsModel {
     /// `gat[l].head[h].{w,a_left,a_right}`, `gen[i].{w,b}`, `beta_c`.
     /// Used to label parameters in training-audit diagnostics.
     pub fn param_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for i in 0..self.nt.len() {
-            out.push(format!("nt[{i}].w"));
-            out.push(format!("nt[{i}].b"));
-        }
-        for (l, layer) in self.gat.iter().enumerate() {
-            for h in 0..layer.heads.len() {
-                out.push(format!("gat[{l}].head[{h}].w"));
-                out.push(format!("gat[{l}].head[{h}].a_left"));
-                out.push(format!("gat[{l}].head[{h}].a_right"));
-            }
-        }
-        for i in 0..self.gen.len() {
-            out.push(format!("gen[{i}].w"));
-            out.push(format!("gen[{i}].b"));
-        }
-        out.push("beta_c".to_string());
-        out
+        self.state.params().into_iter().map(|(name, _, _)| name).collect()
     }
 
     /// Write a flat parameter list back into the structured storage.
     fn store_params(&mut self, params: &[Matrix]) {
         let mut it = params.iter();
-        for (w, b) in &mut self.nt {
-            *w = it.next().expect("nt W").clone();
-            *b = it.next().expect("nt b").clone();
+        for l in &mut self.state.nt {
+            l.w = it.next().expect("nt W").clone();
+            l.b = it.next().expect("nt b").clone();
         }
-        for layer in &mut self.gat {
+        for layer in &mut self.state.gat {
             for head in &mut layer.heads {
                 head.w = it.next().expect("gat W").clone();
                 head.a_left = it.next().expect("gat a_l").clone();
                 head.a_right = it.next().expect("gat a_r").clone();
             }
         }
-        for (w, b) in &mut self.gen {
-            *w = it.next().expect("gen W").clone();
-            *b = it.next().expect("gen b").clone();
+        for l in &mut self.state.gen {
+            l.w = it.next().expect("gen W").clone();
+            l.b = it.next().expect("gen b").clone();
         }
-        self.beta_c = it.next().expect("beta_c").clone();
+        self.state.beta_c = it.next().expect("beta_c").clone();
         assert!(it.next().is_none(), "extra parameters");
     }
 
-    /// Build the master forward pass on `g` for one quarter's node
-    /// features, returning `(prediction n×1, generated β_v n×d,
-    /// assembled β n×d)`. `param_vars` must follow `param_list` order.
-    fn forward(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        mask: &Matrix,
-        param_vars: &[Var],
-        rng: Option<&mut StdRng>,
-    ) -> (Var, Var, Var) {
-        let mut cursor = 0;
-        let mut take = |k: usize| {
-            let r = cursor;
-            cursor += k;
-            r
-        };
-        let mut rng = rng;
-        let apply_dropout = |g: &mut Graph, h: Var, rng: &mut Option<&mut StdRng>| -> Var {
-            if self.config.dropout > 0.0 {
-                if let Some(r) = rng.as_deref_mut() {
-                    let shape = g.value(h).shape();
-                    let m = dropout_mask(shape.0, shape.1, self.config.dropout, r);
-                    return g.dropout(h, &m);
-                }
-            }
-            h
-        };
+    /// The forward's shape: layer counts, heads, slopes and γ.
+    fn arch(&self) -> Arch<f64> {
+        Arch::new(&self.state, |v| v)
+    }
 
-        // Node transform (Eq. 1).
-        let mut h = x;
-        for _ in &self.nt {
-            let wi = take(2);
-            let z = g.matmul(h, param_vars[wi]);
-            let z = g.add_row_broadcast(z, param_vars[wi + 1]);
-            h = g.relu(z);
-            h = apply_dropout(g, h, &mut rng);
+    /// The master→slave forward pass for one quarter's node features
+    /// `x`: node transform (Eq. 1) → GAT (Eqs. 2–3) → generator (Eq. 6)
+    /// → assembly (Eq. 10) → slave-LR evaluation. Returns `[prediction
+    /// n×1, generated β_v n×m, assembled β n×m]`. Written once for
+    /// every [`ForwardOps`]: the tape trains and predicts with it, the
+    /// serving engine scores with it. Parameters are read in
+    /// `param_list` order; `ops.stage` marks where a deadline may
+    /// abandon the pass.
+    pub fn forward<O: ForwardOps>(
+        ops: &mut O,
+        arch: &Arch<O::Scalar>,
+        x: &O::Value,
+    ) -> Result<[O::Value; 3], O::Error> {
+        // `p` is the cursor into the parameters. Node transform (Eq. 1).
+        let mut p = 0;
+        let mut h = ops.dup(x);
+        for _ in 0..arch.nt {
+            let z = ops.matmul(&h, &ops.param(p)?)?;
+            let z = ops.add_row_broadcast(z, &ops.param(p + 1)?)?;
+            ops.free(h);
+            let z = ops.relu(z);
+            h = ops.dropout(z);
+            p += 2;
         }
-        let nt_out = h;
+        ops.stage()?;
+        let nt_out = if arch.residual { Some(ops.dup(&h)) } else { None };
         // GAT stack (Eqs. 2–3).
-        for layer in &self.gat {
-            let base = take(layer.n_params());
-            h = layer.forward(g, h, mask, &param_vars[base..base + layer.n_params()]);
+        for layer in &arch.gat {
+            let next = GatLayer::forward(ops, &h, layer, p)?;
+            ops.free(h);
+            h = next;
+            p += GatHead::N_PARAMS * layer.heads;
         }
-        if self.config.residual {
-            h = g.concat_cols(&[h, nt_out]);
+        ops.stage()?;
+        if let Some(nt_out) = nt_out {
+            let mut cat = O::Concat::default();
+            ops.concat_push(&mut cat, h)?;
+            ops.concat_push(&mut cat, nt_out)?;
+            h = ops.concat_cols(cat)?;
         }
         // Generator M (Eq. 6): hidden ReLU layers then a linear map.
-        let n_gen = self.gen.len();
-        for (i, _) in self.gen.iter().enumerate() {
-            let wi = take(2);
-            let z = g.matmul(h, param_vars[wi]);
-            let z = g.add_row_broadcast(z, param_vars[wi + 1]);
-            if i + 1 < n_gen {
-                h = g.relu(z);
-                h = apply_dropout(g, h, &mut rng);
+        for i in 0..arch.gen {
+            let z = ops.matmul(&h, &ops.param(p)?)?;
+            let z = ops.add_row_broadcast(z, &ops.param(p + 1)?)?;
+            ops.free(h);
+            h = if i + 1 < arch.gen {
+                let z = ops.relu(z);
+                ops.dropout(z)
             } else {
-                h = z;
-            }
+                z
+            };
+            p += 2;
         }
-        let beta_v = h; // n×d
+        ops.stage()?;
+        let beta_v = h; // n×m
 
-        // Model assembly (Eq. 10): β = γ β_v + (1−γ) β_c.
-        let beta_c_var = param_vars[take(1)];
-        let n = g.value(x).rows();
-        let ones = g.input(Matrix::ones(n, 1));
-        let bc_t = g.transpose(beta_c_var); // 1×d
-        let bc_rows = g.matmul(ones, bc_t); // n×d
-        let scaled_v = g.scale(beta_v, self.config.gamma);
-        let scaled_c = g.scale(bc_rows, 1.0 - self.config.gamma);
-        let beta = g.add(scaled_v, scaled_c);
+        // Model assembly (Eq. 10): β = γ β_v + (1−γ) β_c. The ones·β_cᵀ
+        // product (not a row copy) normalizes `-0.0` entries.
+        let ones = ops.ones(x);
+        let bc_t = ops.transpose(&ops.param(p)?); // 1×m
+        let bc_rows = ops.matmul(&ones, &bc_t)?; // n×m
+        ops.free(ones);
+        ops.free(bc_t);
+        let v = ops.dup(&beta_v);
+        let scaled_v = ops.scale(v, arch.gamma);
+        let scaled_c = ops.scale(bc_rows, arch.gamma_c);
+        let beta = ops.add(scaled_v, scaled_c)?;
 
         // Slave-LR evaluation on the slave columns: ÛR_i = x̃_iᵀ β_i.
-        let d = g.value(x).cols();
-        let x_slave = if self.config.slave_cols.is_some() {
-            let sel = g.input(self.selection(d));
-            g.matmul(x, sel)
-        } else {
-            x
+        let x_slave = match ops.selection() {
+            Some(sel) => {
+                let xs = ops.matmul(x, &sel)?;
+                ops.free(sel);
+                xs
+            }
+            None => ops.dup(x),
         };
-        let pred = g.rowwise_dot(x_slave, beta);
-        (pred, beta_v, beta)
+        let pred = ops.rowwise_dot(&x_slave, &beta)?;
+        ops.free(x_slave);
+        Ok([pred, beta_v, beta])
     }
 
     /// Validate fit inputs and return `(feature width, dense mask)`.
@@ -446,9 +430,11 @@ impl AmsModel {
             x_all = x_all.vcat(&b.x);
             y_all = y_all.vcat(&b.y);
         }
-        let x_all = x_all.matmul(&self.selection(d));
-        ridge_solve(&x_all, &y_all, self.config.anchored_lambda)
-            .or_else(|_| ridge_solve(&x_all, &y_all, self.config.anchored_lambda + 1e-6))
+        // The identity when the slave reads every column.
+        let selection = self.state.config.slave_selection(d).unwrap_or_else(|| Matrix::eye(d));
+        let x_all = x_all.matmul(&selection);
+        ridge_solve(&x_all, &y_all, self.state.config.anchored_lambda)
+            .or_else(|_| ridge_solve(&x_all, &y_all, self.state.config.anchored_lambda + 1e-6))
             .expect("anchored LR solve failed")
     }
 
@@ -470,16 +456,23 @@ impl AmsModel {
         mut rng: Option<&mut StdRng>,
     ) -> (Vec<Var>, Var) {
         let total_n: usize = train.iter().map(|b| b.x.rows()).sum();
-        let n_weight_slots = self.l2_slots();
         let param_vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
         let b_acr_rowvar = g.input(b_acr.t()); // 1×d, broadcast target
+        let arch = self.arch();
+        let selection = self.state.config.slave_selection(train[0].x.cols());
 
         let mut data_term: Option<Var> = None;
         let mut slg_term: Option<Var> = None;
         for batch in train {
             let x = g.input(batch.x.clone());
             let y = g.input(batch.y.clone());
-            let (pred, beta_v, _) = self.forward(g, x, mask, &param_vars, rng.as_deref_mut());
+            let mut tape = Tape {
+                selection: selection.as_ref(),
+                dropout: self.state.config.dropout,
+                rng: rng.as_deref_mut(),
+                ..Tape::new(g, mask, &param_vars)
+            };
+            let Ok([pred, beta_v, _]) = Self::forward(&mut tape, &arch, &x);
             let resid = g.sub(pred, y);
             let sq = g.sq_frobenius(resid);
             data_term = Some(match data_term {
@@ -502,15 +495,15 @@ impl AmsModel {
         let slg_term = slg_term.expect("nonempty train");
         let scale_data = 1.0 / (2.0 * total_n as f64);
         let mut loss = g.scale(data_term, scale_data);
-        if self.config.lambda_slg > 0.0 {
-            let slg = g.scale(slg_term, self.config.lambda_slg * scale_data);
+        if self.state.config.lambda_slg > 0.0 {
+            let slg = g.scale(slg_term, self.state.config.lambda_slg * scale_data);
             loss = g.add(loss, slg);
         }
-        if self.config.lambda_l2 > 0.0 {
-            for (i, &v) in param_vars.iter().enumerate() {
-                if n_weight_slots[i] {
+        if self.state.config.lambda_l2 > 0.0 {
+            for (&v, (_, _, l2)) in param_vars.iter().zip(self.state.params()) {
+                if l2 {
                     let sq = g.sq_frobenius(v);
-                    let reg = g.scale(sq, 0.5 * self.config.lambda_l2);
+                    let reg = g.scale(sq, 0.5 * self.state.config.lambda_l2);
                     loss = g.add(loss, reg);
                 }
             }
@@ -531,36 +524,40 @@ impl AmsModel {
         train: &[QuarterBatch],
     ) -> TrainingAudit {
         let (d, mask) = Self::check_fit_inputs(graph, train);
-        let b_acr = match &self.b_acr {
+        let b_acr = match &self.state.b_acr {
             Some(b) => b.clone(),
             None => {
                 let b = self.fit_anchored(train, d);
-                self.b_acr = Some(b.clone());
+                self.state.b_acr = Some(b.clone());
                 b
             }
         };
-        if self.gen.is_empty() {
-            let mut rng = StdRng::seed_from_u64(self.config.seed);
+        if self.state.gen.is_empty() {
+            let mut rng = StdRng::seed_from_u64(self.state.config.seed);
             self.build_params(d, &mut rng);
-            self.beta_c = b_acr.clone();
-            if let Some((_, bias)) = self.gen.last_mut() {
-                *bias = b_acr.t();
+            self.state.beta_c = b_acr.clone();
+            if let Some(last) = self.state.gen.last_mut() {
+                last.b = b_acr.t();
             }
         }
-        let params = self.param_list();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        self.audit_tape(train, &mask, &b_acr, &self.param_list())
+    }
+
+    /// One epoch's training tape on `params`, recorded with its own
+    /// dropout RNG (seeded as `fit` seeds its own) for static analysis.
+    fn audit_tape(
+        &self,
+        train: &[QuarterBatch],
+        mask: &Matrix,
+        b_acr: &Matrix,
+        params: &[Matrix],
+    ) -> TrainingAudit {
+        let mut rng = StdRng::seed_from_u64(self.state.config.seed);
         let mut g = Graph::new();
         let (param_vars, loss) =
-            self.build_training_graph(&mut g, train, &mask, &b_acr, &params, Some(&mut rng));
-        TrainingAudit {
-            plan: g.plan(),
-            params: param_vars
-                .iter()
-                .zip(self.param_names())
-                .map(|(v, name)| (v.index(), name))
-                .collect(),
-            loss: loss.index(),
-        }
+            self.build_training_graph(&mut g, train, mask, b_acr, params, Some(&mut rng));
+        let params = param_vars.iter().map(|v| v.index()).zip(self.param_names()).collect();
+        TrainingAudit { plan: g.plan(), params, loss: loss.index() }
     }
 
     /// Two-phase training (§III-F) on the given correlation graph and
@@ -642,21 +639,21 @@ impl AmsModel {
 
         // Phase 1: anchored LR (Eq. 5).
         let b_acr = self.fit_anchored(train, d);
-        self.b_acr = Some(b_acr.clone());
+        self.state.b_acr = Some(b_acr.clone());
 
         // Phase 2: Adam on Γ_master (Eq. 11).
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut rng = StdRng::seed_from_u64(self.state.config.seed);
         self.build_params(d, &mut rng);
         // Warm-start both slave components at the anchored LR: the
         // generator's output bias and the global assembly β_c start at
         // B_acr, so epoch 0 reproduces the anchored model exactly.
-        self.beta_c = b_acr.clone();
-        if let Some((_, b)) = self.gen.last_mut() {
-            *b = b_acr.t();
+        self.state.beta_c = b_acr.clone();
+        if let Some(last) = self.state.gen.last_mut() {
+            last.b = b_acr.t();
         }
 
         let mut params = self.param_list();
-        let mut adam = Adam::new(self.config.lr);
+        let mut adam = Adam::new(self.state.config.lr);
         let mut best: Option<(f64, Vec<Matrix>)> = None;
         const VAL_EVERY: usize = 25;
         // Stop after this many consecutive validation checks without
@@ -695,7 +692,7 @@ impl AmsModel {
         // selection state from the checkpoint instead.)
         if let (0, Some(vb)) = (start_epoch, val) {
             self.store_params(&params);
-            self.mask = Some(mask.clone());
+            self.state.mask = Some(mask.clone());
             let pred = self.predict(&vb.x);
             let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
             best = Some((vmse, params.clone()));
@@ -708,19 +705,9 @@ impl AmsModel {
         // the training dropout stream.
         #[cfg(feature = "verify")]
         {
-            let mut vrng = StdRng::seed_from_u64(self.config.seed);
-            let mut vg = Graph::new();
-            let (pv, vloss) =
-                self.build_training_graph(&mut vg, train, &mask, &b_acr, &params, Some(&mut vrng));
-            let audit = ams_analyze::PlanAudit {
-                plan: vg.plan(),
-                params: pv
-                    .iter()
-                    .zip(self.param_names())
-                    .map(|(v, name)| (v.index(), name))
-                    .collect(),
-                loss: Some(vloss.index()),
-            };
+            let TrainingAudit { plan, params: named, loss } =
+                self.audit_tape(train, &mask, &b_acr, &params);
+            let audit = ams_analyze::PlanAudit { plan, params: named, loss: Some(loss) };
             let report = ams_analyze::analyze(&audit);
             assert!(
                 !report.has_errors(),
@@ -735,7 +722,7 @@ impl AmsModel {
         // allocations. Bit-exactness is unaffected — the kernels and
         // accumulation order are identical either way.
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
-        for epoch in start_epoch..self.config.epochs {
+        for epoch in start_epoch..self.state.config.epochs {
             g.reset();
             let (param_vars, loss) =
                 self.build_training_graph(&mut g, train, &mask, &b_acr, &params, Some(&mut rng));
@@ -744,9 +731,9 @@ impl AmsModel {
             adam.step(&mut params, &grad_mats);
 
             if let Some(vb) = val {
-                if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.config.epochs {
+                if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.state.config.epochs {
                     self.store_params(&params);
-                    self.mask = Some(mask.clone());
+                    self.state.mask = Some(mask.clone());
                     let pred = self.predict(&vb.x);
                     let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
                     if best.as_ref().is_none_or(|(b, _)| vmse < *b) {
@@ -792,30 +779,8 @@ impl AmsModel {
         } else {
             self.store_params(&params);
         }
-        self.mask = Some(mask);
+        self.state.mask = Some(mask);
         Ok(best_val)
-    }
-
-    /// Which parameter slots receive L2 (weights and β_c, not biases).
-    fn l2_slots(&self) -> Vec<bool> {
-        let mut slots = Vec::new();
-        for _ in &self.nt {
-            slots.push(true); // W
-            slots.push(false); // b
-        }
-        for layer in &self.gat {
-            for _ in &layer.heads {
-                slots.push(true); // W
-                slots.push(true); // a_left
-                slots.push(true); // a_right
-            }
-        }
-        for _ in &self.gen {
-            slots.push(true);
-            slots.push(false);
-        }
-        slots.push(true); // beta_c (Eq. 11's ‖β_c‖²)
-        slots
     }
 
     /// Predict normalized unexpected revenue for every company at one
@@ -838,55 +803,28 @@ impl AmsModel {
     /// untrained model snapshots too (empty layers, `mask: None`), which
     /// [`AmsModel::from_snapshot`] restores to the same untrained state.
     pub fn snapshot(&self) -> ModelSnapshot {
-        let lin = |layers: &[(Matrix, Matrix)]| {
-            layers.iter().map(|(w, b)| LinearLayer { w: w.clone(), b: b.clone() }).collect()
-        };
-        ModelSnapshot {
-            config: self.config.clone(),
-            nt: lin(&self.nt),
-            gat: self.gat.clone(),
-            gen: lin(&self.gen),
-            beta_c: self.beta_c.clone(),
-            b_acr: self.b_acr.clone(),
-            mask: self.mask.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuild a predict-ready model from an exported snapshot. The
     /// result is interchangeable with the model that produced the
     /// snapshot for `predict` / `slave_weights` (bit-for-bit: both run
     /// the same forward pass over the same parameters).
-    pub fn from_snapshot(s: ModelSnapshot) -> Self {
-        let lin = |layers: Vec<LinearLayer>| layers.into_iter().map(|l| (l.w, l.b)).collect();
-        let backend = resolve_backend(&s.config);
-        Self {
-            config: s.config,
-            nt: lin(s.nt),
-            gat: s.gat,
-            gen: lin(s.gen),
-            beta_c: s.beta_c,
-            b_acr: s.b_acr,
-            mask: s.mask,
-            backend,
-        }
-    }
-
-    /// 0/1 selection matrix mapping full features to the configured
-    /// slave columns (`d×m`; identity when no subset is configured).
-    /// Exposed so tape-free scorers can reproduce the slave-column
-    /// projection exactly.
-    pub fn selection_matrix(&self, d: usize) -> Matrix {
-        self.selection(d)
+    pub fn from_snapshot(state: ModelSnapshot) -> Self {
+        let backend = resolve_backend(&state.config);
+        Self { state, backend }
     }
 
     fn run_eval(&self, x: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let mask = self.mask.as_ref().expect("predict before fit");
+        let mask = self.state.mask.as_ref().expect("predict before fit");
         assert_eq!(x.rows(), mask.rows(), "predict: row count != graph nodes");
         let params = self.param_list();
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
         let xv = g.input(x.clone());
         let pv: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
-        let (pred, beta_v, beta) = self.forward(&mut g, xv, mask, &pv, None);
+        let selection = self.state.config.slave_selection(x.cols());
+        let mut tape = Tape { selection: selection.as_ref(), ..Tape::new(&mut g, mask, &pv) };
+        let Ok([pred, beta_v, beta]) = Self::forward(&mut tape, &self.arch(), &xv);
         (g.value(pred).clone(), g.value(beta_v).clone(), g.value(beta).clone())
     }
 }

@@ -8,8 +8,9 @@
 //! concatenate `H` heads (Eq. 3); per the paper, "the final output
 //! layer of GAT is a single attention head layer".
 
+use crate::forward::{ForwardOps, GatSpec};
 use ams_tensor::init::xavier_uniform;
-use ams_tensor::{Graph, Matrix, Var};
+use ams_tensor::Matrix;
 use rand::Rng;
 
 /// One attention head's parameters.
@@ -42,25 +43,25 @@ impl GatHead {
     /// Number of parameter matrices per head.
     pub const N_PARAMS: usize = 3;
 
-    /// Forward for one head. `param_vars` must hold `[w, a_left,
-    /// a_right]` as graph leaves; returns the aggregated (pre-
+    /// Forward for one head, whose `[w, a_left, a_right]` are
+    /// parameters `first..first + 3`; returns the aggregated (pre-
     /// activation) node features.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        mask: &Matrix,
-        leaky_slope: f64,
-        param_vars: &[Var],
-    ) -> Var {
-        let [w, a_l, a_r] = [param_vars[0], param_vars[1], param_vars[2]];
-        let wx = g.matmul(x, w); // n×out
-        let s_l = g.matmul(wx, a_l); // n×1
-        let s_r = g.matmul(wx, a_r); // n×1
-        let logits = g.outer_sum(s_l, s_r); // e_ij = s_l[i] + s_r[j]
-        let logits = g.leaky_relu(logits, leaky_slope);
-        let attn = g.masked_softmax_rows(logits, mask);
-        g.matmul(attn, wx) // Σ_j α_ij W x_j
+    pub fn forward<O: ForwardOps>(
+        ops: &mut O,
+        x: &O::Value,
+        first: usize,
+        leaky_slope: O::Scalar,
+    ) -> Result<O::Value, O::Error> {
+        let wx = ops.matmul(x, &ops.param(first)?)?; // n×out
+        let s_l = ops.matmul(&wx, &ops.param(first + 1)?)?; // n×1
+        let s_r = ops.matmul(&wx, &ops.param(first + 2)?)?; // n×1
+        let logits = ops.outer_sum(s_l, s_r)?; // e_ij = s_l[i] + s_r[j]
+        let logits = ops.leaky_relu(logits, leaky_slope);
+        let attn = ops.masked_softmax_rows(logits)?;
+        let out = ops.matmul(&attn, &wx)?; // Σ_j α_ij W x_j
+        ops.free(attn);
+        ops.free(wx);
+        Ok(out)
     }
 }
 
@@ -108,37 +109,48 @@ impl GatLayer {
         self.heads.iter().flat_map(|h| h.params()).collect()
     }
 
-    /// Number of parameter matrices.
-    pub fn n_params(&self) -> usize {
-        self.heads.len() * GatHead::N_PARAMS
-    }
-
-    /// Forward pass with ReLU activation (Eqs. 2–3). `param_vars` must
-    /// hold this layer's parameters in [`GatLayer::params`] order.
-    pub fn forward(&self, g: &mut Graph, x: Var, mask: &Matrix, param_vars: &[Var]) -> Var {
-        assert_eq!(param_vars.len(), self.n_params(), "gat forward: param count mismatch");
-        let mut outs = Vec::with_capacity(self.heads.len());
-        for (h, head) in self.heads.iter().enumerate() {
-            let pv = &param_vars[h * GatHead::N_PARAMS..(h + 1) * GatHead::N_PARAMS];
-            let agg = head.forward(g, x, mask, self.leaky_slope, pv);
-            outs.push(g.relu(agg));
+    /// Forward pass with ReLU activation (Eqs. 2–3) for a layer of
+    /// shape `spec` whose parameters start at `first`, in
+    /// [`GatLayer::params`] order.
+    pub fn forward<O: ForwardOps>(
+        ops: &mut O,
+        x: &O::Value,
+        spec: &GatSpec<O::Scalar>,
+        first: usize,
+    ) -> Result<O::Value, O::Error> {
+        let mut cat = O::Concat::default();
+        for h in 0..spec.heads {
+            let agg = GatHead::forward(ops, x, first + h * GatHead::N_PARAMS, spec.leaky_slope)?;
+            let act = ops.relu(agg);
+            ops.concat_push(&mut cat, act)?;
         }
-        if outs.len() == 1 {
-            outs[0]
-        } else {
-            g.concat_cols(&outs)
-        }
+        ops.concat_cols(cat)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::Tape;
     use ams_graph::CompanyGraph;
     use ams_tensor::gradcheck::{check_gradients, check_gradients_with};
     use ams_tensor::init::xavier_uniform;
+    use ams_tensor::{Graph, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `layer` recorded on the tape, its parameters `pv`.
+    fn layer_on_tape(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
+        let spec = GatSpec { heads: layer.heads.len(), leaky_slope: layer.leaky_slope };
+        let Ok(y) = GatLayer::forward(&mut Tape::new(g, mask, pv), &x, &spec, 0);
+        y
+    }
+
+    /// One head recorded on the tape, its parameters `pv`.
+    fn head_on_tape(g: &mut Graph, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
+        let Ok(y) = GatHead::forward(&mut Tape::new(g, mask, pv), &x, 0, 0.2);
+        y
+    }
 
     fn line_graph_mask(n: usize) -> Matrix {
         // Path graph with self loops.
@@ -163,12 +175,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = GatLayer::hidden(6, 4, 3, &mut rng);
         assert_eq!(layer.out_dim(), 12);
-        assert_eq!(layer.n_params(), 9);
+        assert_eq!(layer.params().len(), 9);
         let mask = line_graph_mask(5);
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(5, 6, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer.forward(&mut g, x, &mask, &pv);
+        let y = layer_on_tape(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).shape(), (5, 12));
     }
 
@@ -185,7 +197,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(4, 3, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer.forward(&mut g, x, &mask, &pv);
+        let y = layer_on_tape(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).row(3), &[0.0, 0.0]);
     }
 
@@ -203,7 +215,7 @@ mod tests {
             let mut g = Graph::new();
             let x = g.input(xm.clone());
             let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-            let y = head.forward(&mut g, x, &mask, 0.2, &pv);
+            let y = head_on_tape(&mut g, x, &mask, &pv);
             g.value(y).clone()
         };
         let y0 = run(&base);
@@ -236,7 +248,7 @@ mod tests {
         params.extend(layer.params().into_iter().cloned());
         check_gradients(
             &move |g, vars| {
-                let y = layer.forward(g, vars[0], &mask, &vars[1..]);
+                let y = layer_on_tape(g, &layer, vars[0], &mask, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -260,7 +272,7 @@ mod tests {
             std::sync::Arc::new(ams_tensor::runtime::Par::new(4));
         check_gradients_with(
             &move |g, vars| {
-                let y = layer.forward(g, vars[0], &mask, &vars[1..]);
+                let y = layer_on_tape(g, &layer, vars[0], &mask, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -285,7 +297,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(x0);
         let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = head.forward(&mut g, x, &mask, 0.2, &pv);
+        let y = head_on_tape(&mut g, x, &mask, &pv);
         let yv = g.value(y);
         // Node 0 neighbours {0, 1}: mean of 1 and 2 = 1.5.
         assert!((yv[(0, 0)] - 1.5).abs() < 1e-12);

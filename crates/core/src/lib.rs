@@ -13,8 +13,10 @@
 
 pub mod ams;
 pub mod checkpoint;
+pub mod forward;
 pub mod gat;
 
 pub use ams::{AmsConfig, AmsModel, LinearLayer, ModelSnapshot, QuarterBatch};
 pub use checkpoint::{CheckpointConfig, FitHalted, TrainCheckpoint};
+pub use forward::{Arch, ForwardOps, GatSpec, Tape};
 pub use gat::{GatHead, GatLayer};

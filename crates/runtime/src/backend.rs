@@ -56,22 +56,6 @@ pub trait Backend<E: Element = f64>: Send + Sync + std::fmt::Debug {
         kernels::matmul_transa(a, g, out, r, m, n);
     }
 
-    /// Fused `out = A·B + bias` (bias broadcast over rows).
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_add_bias(
-        &self,
-        a: &[E],
-        b: &[E],
-        bias: &[E],
-        out: &mut [E],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        self.matmul(a, b, out, m, k, n);
-        kernels::add_bias_rows(out, bias, m, n);
-    }
-
     /// `y += alpha·x`.
     fn axpy(&self, y: &mut [E], x: &[E], alpha: E) {
         kernels::axpy(y, x, alpha);

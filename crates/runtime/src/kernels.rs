@@ -149,9 +149,8 @@ pub fn transpose<E: Element>(a: &[E], out: &mut [E], rows: usize, cols: usize) {
 }
 
 /// In-place row-broadcast bias add: `out[r][c] += bias[c]` for every
-/// row of the `rows×n` buffer. Combined with [`matmul`] this is the
-/// fused `matmul_add_bias` — the adds happen in the same row-major
-/// order the tape's separate `add_row_broadcast` op used.
+/// row of the `rows×n` buffer — the value of the tape's
+/// `add_row_broadcast` op and of the serving engine's.
 pub fn add_bias_rows<E: Element>(out: &mut [E], bias: &[E], rows: usize, n: usize) {
     debug_assert_eq!(out.len(), rows * n, "add_bias_rows: out buffer");
     debug_assert_eq!(bias.len(), n, "add_bias_rows: bias width");

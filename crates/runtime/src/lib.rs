@@ -6,7 +6,7 @@
 //! 1. **Kernels** ([`kernels`]): cache-blocked row-major routines,
 //!    generic over the scalar ([`Element`]: `f64` or `f32`) — blocked
 //!    matmul, the transpose-fused `Aᵀ·G` product and the transpose the
-//!    tape's backward pass needs, fused bias addition, `axpy`, row-wise
+//!    tape's backward pass needs, row-broadcast bias addition, `axpy`, row-wise
 //!    masked softmax. The `f64`
 //!    instantiation preserves the exact accumulation order of the
 //!    historical `Matrix` loops, so refactoring onto the runtime

@@ -27,8 +27,7 @@
 //! 2. [`portable_matmul`] — a generic 8-lane unrolled kernel the
 //!    autovectorizer cannot miss, used everywhere else.
 //!
-//! Only `matmul` (and through it the fused `matmul_add_bias`) is
-//! overridden: it dominates the forward pass. The remaining `Backend`
+//! Only `matmul` is overridden: it dominates the forward pass. The remaining `Backend`
 //! methods fall back to the deterministic generic kernels, so e.g. the
 //! masked softmax stays bit-identical to `Seq` even on this backend.
 
@@ -384,18 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn backend_override_reaches_the_fast_path_and_fuses_bias() {
+    fn backend_override_reaches_the_fast_path() {
         let (m, k, n) = (6, 20, 10);
         let a = mat(m * k, |i| (i % 5) as f64 - 2.0);
         let b = mat(k * n, |i| (i % 7) as f64 * 0.5 - 1.5);
-        let bias = mat(n, |i| i as f64 * 0.1);
-        let mut fused = vec![0.0; m * n];
-        SimdSeq.matmul_add_bias(&a, &b, &bias, &mut fused, m, k, n);
-        let mut plain = vec![0.0; m * n];
-        matmul_f64(&a, &b, &mut plain, m, k, n);
-        kernels::add_bias_rows(&mut plain, &bias, m, n);
-        for (f, p) in fused.iter().zip(&plain) {
-            assert_eq!(f.to_bits(), p.to_bits());
+        let mut via_backend = vec![0.0; m * n];
+        SimdSeq.matmul(&a, &b, &mut via_backend, m, k, n);
+        let mut direct = vec![0.0; m * n];
+        matmul_f64(&a, &b, &mut direct, m, k, n);
+        for (v, d) in via_backend.iter().zip(&direct) {
+            assert_eq!(v.to_bits(), d.to_bits());
         }
         assert_eq!(Backend::<f64>::name(&SimdSeq), "simd");
         assert_eq!(Backend::<f32>::name(&SimdSeq), "simd");

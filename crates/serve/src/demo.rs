@@ -33,6 +33,23 @@ pub struct TrainedBundle {
 /// quarters `k..=7` train, quarter 8 validates, quarter 9 is the test
 /// quarter whose features become the artifact's reference features.
 pub fn train_demo(seed: u64) -> TrainedBundle {
+    // Slave model on a leading slice of the continuous block — small so
+    // the demo trains in well under a second, and a strict subset so
+    // the slave-column projection path is exercised end to end.
+    let config = AmsConfig {
+        nt_hidden: vec![16],
+        gen_hidden: vec![16],
+        epochs: 40,
+        dropout: 0.0,
+        slave_cols: Some((0..8).collect()),
+        seed,
+        ..AmsConfig::default()
+    };
+    train_with(seed, config)
+}
+
+/// [`train_demo`]'s universe and schedule, fitted under `config`.
+pub(crate) fn train_with(seed: u64, config: AmsConfig) -> TrainedBundle {
     let synth = generate(&SynthConfig::tiny(seed));
     let panel = &synth.panel;
     let k = 4;
@@ -58,18 +75,6 @@ pub fn train_demo(seed: u64) -> TrainedBundle {
     let val = batch_at(val_q);
     let test = batch_at(test_q);
 
-    // Slave model on a leading slice of the continuous block — small so
-    // the demo trains in well under a second, and a strict subset so
-    // the slave-column projection path is exercised end to end.
-    let config = AmsConfig {
-        nt_hidden: vec![16],
-        gen_hidden: vec![16],
-        epochs: 40,
-        dropout: 0.0,
-        slave_cols: Some((0..8).collect()),
-        seed,
-        ..AmsConfig::default()
-    };
     let mut model = AmsModel::new(config);
     model.fit_with_validation(&graph, &train, Some(&val));
 

@@ -1,18 +1,19 @@
 //! Tape-free forward-only scoring.
 //!
-//! Training-side `AmsModel::predict` replays the master→slave forward
-//! pass on the autodiff [`ams_tensor::Graph`] — every intermediate is
-//! recorded on a tape so gradients *could* be taken, which serving
-//! never needs. [`Engine`] runs the same arithmetic directly on
-//! workspace buffers: same primitives in the same order, so results
-//! are bit-for-bit identical to the tape, with no tape allocation.
+//! The AMS forward is written once, in `ams-core`, generic over
+//! [`ForwardOps`]: training-side `AmsModel::predict` runs it on the
+//! autodiff tape, which records every intermediate so gradients
+//! *could* be taken — serving never needs them. [`Engine`] runs the
+//! same generic forward on its workspace executor: each op is one
+//! runtime kernel call on a buffer from the worker's [`Workspace`],
+//! the same kernels in the same order as the tape, so results are
+//! bit-for-bit identical to the tape with no tape allocation.
 //!
-//! The forward pass itself ([`run_plan`]) is generic over the scalar
-//! ([`Element`]): the engine freezes its weights into a
-//! [`ForwardPlan`] per precision at load time — an exact f64 copy
-//! (the bit-identical default path) and a quantized f32 copy (the
-//! mixed-precision path of DESIGN.md §14, within a documented epsilon
-//! of the f64 result).
+//! The executor is generic over the scalar ([`Element`]): the engine
+//! freezes its weights into a [`ForwardPlan`] per precision at load
+//! time — an exact f64 copy (the bit-identical default path) and a
+//! quantized f32 copy (the mixed-precision path of DESIGN.md §14,
+//! within a documented epsilon of the f64 result).
 //!
 //! Three paths:
 //! * **batch** ([`Engine::predict_batch`]) re-runs the master and the
@@ -30,8 +31,9 @@
 //!   serving trade-off.
 
 use crate::artifact::{FallbackModel, ModelArtifact};
-use crate::plan::{ForwardPlan, PlanGatHead, PlanGatLayer, PlanLinear, Plane, PlaneRef};
-use ams_tensor::runtime::{Backend, Element, RuntimeError, Seq, SimdSeq, Workspace};
+use crate::plan::{ForwardPlan, Plane, PlaneRef};
+use ams_core::{AmsModel, ForwardOps};
+use ams_tensor::runtime::{kernels, Backend, Element, RuntimeError, Seq, SimdSeq, Workspace};
 use ams_tensor::Matrix;
 use std::time::Instant;
 
@@ -63,27 +65,10 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
-impl From<String> for PredictError {
-    /// Untyped errors bubbling out of the kernel helpers can only be
-    /// shape mismatches from a corrupt snapshot — engine failures.
-    fn from(message: String) -> Self {
-        PredictError::Engine(message)
-    }
-}
-
 impl PredictError {
     /// Does this failure count against the model's circuit breaker?
     pub fn is_engine_failure(&self) -> bool {
         matches!(self, PredictError::Engine(_))
-    }
-}
-
-/// Bail out of the forward pass between stages once the request's
-/// deadline has passed — the abandoned work is the cheapest work.
-fn check_deadline(deadline: Option<Instant>) -> Result<(), PredictError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(PredictError::DeadlineExceeded),
-        _ => Ok(()),
     }
 }
 
@@ -274,8 +259,8 @@ impl Engine {
         ws: &mut Workspace,
         deadline: Option<Instant>,
     ) -> Result<Matrix, PredictError> {
-        let (pred, beta_v, beta) =
-            run_plan(&self.plan64, PlaneRef::of_matrix(x), backend, ws, deadline)?;
+        let [pred, beta_v, beta] =
+            Executor::forward(&self.plan64, PlaneRef::of_matrix(x), backend, ws, deadline)?;
         ws.give(beta_v.into_vec());
         ws.give(beta.into_vec());
         if pred.as_slice().iter().any(|v| !v.is_finite()) {
@@ -319,9 +304,9 @@ impl Engine {
             ));
         }
         let x32 = Plane::from_vec(x.rows(), x.cols(), xin);
-        let result = run_plan(&self.plan32, x32.view(), backend, ws32, deadline);
+        let result = Executor::forward(&self.plan32, x32.view(), backend, ws32, deadline);
         ws32.give(x32.into_vec());
-        let (pred, beta_v, beta) = result?;
+        let [pred, beta_v, beta] = result?;
         ws32.give(beta_v.into_vec());
         ws32.give(beta.into_vec());
         let rows = pred.rows();
@@ -351,284 +336,266 @@ impl Engine {
     /// the serving-side counterpart of `AmsModel::slave_weights`.
     pub fn slave_weights_batch(&self, x: &Matrix) -> Result<(Matrix, Matrix), String> {
         let mut ws = Workspace::new();
-        let (pred, beta_v, beta) =
-            run_plan(&self.plan64, PlaneRef::of_matrix(x), &Seq, &mut ws, None)
+        let [pred, beta_v, beta] =
+            Executor::forward(&self.plan64, PlaneRef::of_matrix(x), &Seq, &mut ws, None)
                 .map_err(|e| e.to_string())?;
         ws.give(pred.into_vec());
         Ok((beta.into_matrix(), beta_v.into_matrix()))
     }
 }
 
-/// What [`run_plan`] hands back: `(predictions, generated β_v,
-/// assembled β)`, all still in the plan's scalar type.
-type PlanOutputs<E> = (Plane<E>, Plane<E>, Plane<E>);
+/// A value of the workspace executor: a buffer this pass took from the
+/// workspace, or a borrowed plane (a plan weight, the caller's input).
+enum Buf<'a, E: Element> {
+    Pooled(Plane<E>),
+    Fixed(PlaneRef<'a, E>),
+}
 
-/// The forward pass of `AmsModel::forward`, replayed value-only on the
-/// runtime kernels — generic over the scalar. For `E = f64` every step
-/// performs the identical arithmetic in the identical order as the
-/// tape op — that is what makes the engine exactly (not approximately)
-/// equal to the training-side predict, on every deterministic backend.
-/// For `E = f32` the same code is the quantized inference path.
-fn run_plan<E: Element>(
-    plan: &ForwardPlan<E>,
-    x: PlaneRef<'_, E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-    deadline: Option<Instant>,
-) -> Result<PlanOutputs<E>, PredictError> {
-    if x.rows != plan.companies {
-        return Err(PredictError::BadRequest(format!(
-            "batch has {} rows but the model graph has {} nodes",
-            x.rows, plan.companies
-        )));
-    }
-    if x.cols != plan.width {
-        return Err(PredictError::BadRequest(format!(
-            "feature width {} != model width {}",
-            x.cols, plan.width
-        )));
-    }
-
-    // Node transform (Eq. 1); dropout is identity at eval time.
-    let mut h = clone_ref_ws(x, ws);
-    for PlanLinear { w, b } in &plan.nt {
-        let mut z = matmul_add_bias_ws(h.view(), w.view(), b.view(), backend, ws)?;
-        relu_in_place(&mut z);
-        ws.give(h.into_vec());
-        h = z;
-    }
-    check_deadline(deadline)?;
-    let nt_out = clone_ref_ws(h.view(), ws);
-    // GAT stack (Eqs. 2–3).
-    for layer in &plan.gat {
-        let next = gat_layer_forward_ws(layer, &h, &plan.mask, backend, ws)?;
-        ws.give(h.into_vec());
-        h = next;
-    }
-    check_deadline(deadline)?;
-    if plan.residual {
-        let cat = hcat_ws(&h, &nt_out, ws);
-        ws.give(h.into_vec());
-        h = cat;
-    }
-    ws.give(nt_out.into_vec());
-    // Generator M (Eq. 6): hidden ReLU layers then a linear map.
-    let n_gen = plan.gen.len();
-    for (i, PlanLinear { w, b }) in plan.gen.iter().enumerate() {
-        let mut z = matmul_add_bias_ws(h.view(), w.view(), b.view(), backend, ws)?;
-        if i + 1 < n_gen {
-            relu_in_place(&mut z);
+impl<E: Element> Buf<'_, E> {
+    fn view(&self) -> PlaneRef<'_, E> {
+        match self {
+            Buf::Pooled(p) => p.view(),
+            Buf::Fixed(r) => *r,
         }
-        ws.give(h.into_vec());
-        h = z;
-    }
-    check_deadline(deadline)?;
-    let beta_v = h;
-
-    // Model assembly (Eq. 10): β = γ β_v + (1−γ) β_c. The ones·βcᵀ
-    // product is kept (rather than a row copy) so `-0.0` entries
-    // normalize exactly as on the tape.
-    let ones = {
-        let mut data = ws.take(x.rows);
-        data.iter_mut().for_each(|v| *v = E::ONE);
-        Plane::from_vec(x.rows, 1, data)
-    };
-    let bc_rows = matmul_ws(ones.view(), plan.beta_c_t.view(), backend, ws)?;
-    ws.give(ones.into_vec());
-    let mut beta = affine_ws(&beta_v, plan.gamma, ws);
-    let bc_scaled = affine_ws(&bc_rows, plan.gamma_c, ws);
-    ws.give(bc_rows.into_vec());
-    for (a, &b) in beta.as_mut_slice().iter_mut().zip(bc_scaled.as_slice()) {
-        *a += b;
-    }
-    ws.give(bc_scaled.into_vec());
-
-    // Slave-LR evaluation on the slave columns.
-    let x_slave = match &plan.selection {
-        Some(sel) => matmul_ws(x, sel.view(), backend, ws)?,
-        None => clone_ref_ws(x, ws),
-    };
-    let mut pred_data = ws.take(x_slave.rows());
-    backend.rowwise_dot(
-        x_slave.as_slice(),
-        beta.as_slice(),
-        &mut pred_data,
-        x_slave.rows(),
-        x_slave.cols(),
-    );
-    let pred = Plane::from_vec(x_slave.rows(), 1, pred_data);
-    ws.give(x_slave.into_vec());
-    Ok((pred, beta_v, beta))
-}
-
-/// Copy a plane view into a workspace buffer.
-fn clone_ref_ws<E: Element>(x: PlaneRef<'_, E>, ws: &mut Workspace<E>) -> Plane<E> {
-    let mut data = ws.take(x.data.len());
-    data.copy_from_slice(x.data);
-    Plane::from_vec(x.rows, x.cols, data)
-}
-
-/// `Graph::relu` value semantics, in place.
-fn relu_in_place<E: Element>(x: &mut Plane<E>) {
-    for e in x.as_mut_slice() {
-        *e = (*e).max(E::ZERO);
     }
 }
 
-/// `Graph::leaky_relu` value semantics, in place.
-fn leaky_relu_in_place<E: Element>(x: &mut Plane<E>, alpha: E) {
-    for e in x.as_mut_slice() {
-        *e = if *e > E::ZERO { *e } else { alpha * *e };
-    }
-}
-
-/// `Graph::affine`/`scale` value semantics (`alpha·x + 0.0`; the
-/// `+ 0.0` is kept so `-0.0` entries normalize exactly as on the tape).
-fn affine_ws<E: Element>(x: &Plane<E>, alpha: E, ws: &mut Workspace<E>) -> Plane<E> {
-    let mut data = ws.take(x.len());
-    for (o, &e) in data.iter_mut().zip(x.as_slice()) {
-        *o = alpha * e + E::ZERO;
-    }
-    Plane::from_vec(x.rows(), x.cols(), data)
-}
-
-/// Workspace-fed matrix product on the runtime kernels; shape errors
-/// surface as the runtime's typed error rendered to the engine's
-/// error-string convention (never a panic on the inference path).
-fn matmul_ws<E: Element>(
+/// `Ok` when `ok`; otherwise the shape mismatch of a corrupt plan, an
+/// engine failure.
+fn check<E: Element>(
+    ok: bool,
+    op: &'static str,
     a: PlaneRef<'_, E>,
     b: PlaneRef<'_, E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    if a.cols != b.rows {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "matmul",
-            lhs: (a.rows, a.cols),
-            rhs: (b.rows, b.cols),
+) -> Result<(), PredictError> {
+    if ok {
+        return Ok(());
+    }
+    let (lhs, rhs) = ((a.rows, a.cols), (b.rows, b.cols));
+    Err(PredictError::Engine(RuntimeError::ShapeMismatch { op, lhs, rhs }.to_string()))
+}
+
+/// [`ForwardOps`] value-only on the runtime kernels, over `Plane<E>`:
+/// the engine's half of the one AMS forward. Every buffer comes from
+/// and goes back to the worker's workspace; element-wise ops work in
+/// place; dropout is the identity; [`ForwardOps::stage`] checks the
+/// request deadline.
+struct Executor<'a, E: Element> {
+    plan: &'a ForwardPlan<E>,
+    backend: &'a dyn Backend<E>,
+    ws: &'a mut Workspace<E>,
+    deadline: Option<Instant>,
+}
+
+impl<'a, E: Element> Executor<'a, E> {
+    /// Run [`AmsModel::forward`] on `x` (one row per graph node):
+    /// `[predictions, generated β_v, assembled β]`, still in `E`. For
+    /// `E = f64` every op is the tape's arithmetic in the tape's order,
+    /// so the result equals `AmsModel::predict` bit for bit on every
+    /// deterministic backend.
+    fn forward(
+        plan: &'a ForwardPlan<E>,
+        x: PlaneRef<'a, E>,
+        backend: &'a dyn Backend<E>,
+        ws: &'a mut Workspace<E>,
+        deadline: Option<Instant>,
+    ) -> Result<[Plane<E>; 3], PredictError> {
+        if x.rows != plan.companies {
+            return Err(PredictError::BadRequest(format!(
+                "batch has {} rows but the model graph has {} nodes",
+                x.rows, plan.companies
+            )));
         }
-        .to_string());
-    }
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut data = ws.take(m * n);
-    backend.matmul(a.data, b.data, &mut data, m, k, n);
-    Ok(Plane::from_vec(m, n, data))
-}
-
-/// Fused `x·W + b` (bias broadcast over rows), workspace-fed — the
-/// matmul and the bias add happen in the same order the tape's
-/// separate ops used, so values match bit-for-bit.
-fn matmul_add_bias_ws<E: Element>(
-    x: PlaneRef<'_, E>,
-    w: PlaneRef<'_, E>,
-    b: PlaneRef<'_, E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    if x.cols != w.rows {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "matmul",
-            lhs: (x.rows, x.cols),
-            rhs: (w.rows, w.cols),
+        if x.cols != plan.width {
+            return Err(PredictError::BadRequest(format!(
+                "feature width {} != model width {}",
+                x.cols, plan.width
+            )));
         }
-        .to_string());
+        let mut exec = Executor { plan, backend, ws, deadline };
+        let [pred, beta_v, beta] = AmsModel::forward(&mut exec, &plan.arch, &Buf::Fixed(x))?;
+        Ok([exec.pooled(pred), exec.pooled(beta_v), exec.pooled(beta)])
     }
-    if b.rows != 1 || b.cols != w.cols {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "add_bias",
-            lhs: (x.rows, w.cols),
-            rhs: (b.rows, b.cols),
-        }
-        .to_string());
+
+    /// A zeroed `rows×cols` workspace buffer.
+    fn blank(&mut self, rows: usize, cols: usize) -> Plane<E> {
+        Plane::from_vec(rows, cols, self.ws.take(rows * cols))
     }
-    let (m, k, n) = (x.rows, x.cols, w.cols);
-    let mut data = ws.take(m * n);
-    backend.matmul_add_bias(x.data, w.data, b.data, &mut data, m, k, n);
-    Ok(Plane::from_vec(m, n, data))
-}
 
-/// `Graph::outer_sum` value semantics: `out[i][j] = u[i] + v[j]`.
-fn outer_sum_ws<E: Element>(u: &Plane<E>, v: &Plane<E>, ws: &mut Workspace<E>) -> Plane<E> {
-    debug_assert_eq!(u.cols(), 1, "outer_sum: u must be a column vector");
-    debug_assert_eq!(v.cols(), 1, "outer_sum: v must be a column vector");
-    let (rows, cols) = (u.rows(), v.rows());
-    let mut data = ws.take(rows * cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            data[i * cols + j] = u.as_slice()[i] + v.as_slice()[j];
-        }
-    }
-    Plane::from_vec(rows, cols, data)
-}
-
-/// Horizontal concatenation `[a | b]`, workspace-fed.
-fn hcat_ws<E: Element>(a: &Plane<E>, b: &Plane<E>, ws: &mut Workspace<E>) -> Plane<E> {
-    debug_assert_eq!(a.rows(), b.rows(), "hcat: row mismatch");
-    let (rows, ac, bc) = (a.rows(), a.cols(), b.cols());
-    let mut data = ws.take(rows * (ac + bc));
-    for r in 0..rows {
-        data[r * (ac + bc)..r * (ac + bc) + ac].copy_from_slice(a.row(r));
-        data[r * (ac + bc) + ac..(r + 1) * (ac + bc)].copy_from_slice(b.row(r));
-    }
-    Plane::from_vec(rows, ac + bc, data)
-}
-
-/// One attention head, value-only (`GatHead::forward` minus the tape).
-fn gat_head_forward_ws<E: Element>(
-    head: &PlanGatHead<E>,
-    x: &Plane<E>,
-    mask: &Plane<E>,
-    leaky_slope: E,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    let wx = matmul_ws(x.view(), head.w.view(), backend, ws)?;
-    let s_l = matmul_ws(wx.view(), head.a_left.view(), backend, ws)?;
-    let s_r = matmul_ws(wx.view(), head.a_right.view(), backend, ws)?;
-    let mut logits = outer_sum_ws(&s_l, &s_r, ws);
-    ws.give(s_l.into_vec());
-    ws.give(s_r.into_vec());
-    leaky_relu_in_place(&mut logits, leaky_slope);
-    let mut attn_data = ws.take(logits.len());
-    backend.masked_softmax_rows(
-        logits.as_slice(),
-        mask.as_slice(),
-        &mut attn_data,
-        logits.rows(),
-        logits.cols(),
-    );
-    let attn = Plane::from_vec(logits.rows(), logits.cols(), attn_data);
-    ws.give(logits.into_vec());
-    let out = matmul_ws(attn.view(), wx.view(), backend, ws)?;
-    ws.give(attn.into_vec());
-    ws.give(wx.into_vec());
-    Ok(out)
-}
-
-/// One GAT layer, value-only (`GatLayer::forward` minus the tape).
-/// A zero-head layer is a corrupt artifact, reported as an error.
-fn gat_layer_forward_ws<E: Element>(
-    layer: &PlanGatLayer<E>,
-    x: &Plane<E>,
-    mask: &Plane<E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    let mut out: Option<Plane<E>> = None;
-    for head in &layer.heads {
-        let mut h = gat_head_forward_ws(head, x, mask, layer.leaky_slope, backend, ws)?;
-        relu_in_place(&mut h);
-        out = Some(match out {
-            None => h,
-            Some(acc) => {
-                let cat = hcat_ws(&acc, &h, ws);
-                ws.give(acc.into_vec());
-                ws.give(h.into_vec());
-                cat
+    /// `v` as a workspace buffer, copying a borrowed plane in.
+    fn pooled(&mut self, v: Buf<'_, E>) -> Plane<E> {
+        match v {
+            Buf::Pooled(p) => p,
+            Buf::Fixed(r) => {
+                let mut p = self.blank(r.rows, r.cols);
+                p.as_mut_slice().copy_from_slice(r.data);
+                p
             }
-        });
+        }
     }
-    out.ok_or_else(|| "gat layer has no heads (corrupt snapshot)".to_string())
+
+    /// `f` applied to every element, in place.
+    fn map(&mut self, x: Buf<'a, E>, f: impl Fn(E) -> E) -> Buf<'a, E> {
+        let mut p = self.pooled(x);
+        p.as_mut_slice().iter_mut().for_each(|e| *e = f(*e));
+        Buf::Pooled(p)
+    }
+}
+
+impl<'a, E: Element> ForwardOps for Executor<'a, E> {
+    type Scalar = E;
+    type Value = Buf<'a, E>;
+    type Concat = Option<Buf<'a, E>>;
+    type Error = PredictError;
+
+    fn param(&self, index: usize) -> Result<Buf<'a, E>, PredictError> {
+        let w = self.plan.weights.get(index);
+        w.map(|w| Buf::Fixed(w.view()))
+            .ok_or_else(|| PredictError::Engine(format!("no weight {index}")))
+    }
+
+    fn ones(&mut self, like: &Buf<'a, E>) -> Buf<'a, E> {
+        let mut p = self.blank(like.view().rows, 1);
+        p.as_mut_slice().fill(E::ONE);
+        Buf::Pooled(p)
+    }
+
+    fn selection(&mut self) -> Option<Buf<'a, E>> {
+        self.plan.selection.as_ref().map(|s| Buf::Fixed(s.view()))
+    }
+
+    fn dup(&mut self, x: &Buf<'a, E>) -> Buf<'a, E> {
+        match x {
+            Buf::Fixed(r) => Buf::Fixed(*r),
+            Buf::Pooled(p) => Buf::Pooled(self.pooled(Buf::Fixed(p.view()))),
+        }
+    }
+
+    fn free(&mut self, x: Buf<'a, E>) {
+        if let Buf::Pooled(p) = x {
+            self.ws.give(p.into_vec());
+        }
+    }
+
+    fn stage(&mut self) -> Result<(), PredictError> {
+        match self.deadline {
+            Some(d) if Instant::now() >= d => Err(PredictError::DeadlineExceeded),
+            _ => Ok(()),
+        }
+    }
+
+    fn matmul(&mut self, a: &Buf<'a, E>, b: &Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
+        let (a, b) = (a.view(), b.view());
+        check(a.cols == b.rows, "matmul", a, b)?;
+        let mut out = self.blank(a.rows, b.cols);
+        self.backend.matmul(a.data, b.data, out.as_mut_slice(), a.rows, a.cols, b.cols);
+        Ok(Buf::Pooled(out))
+    }
+
+    fn add_row_broadcast(
+        &mut self,
+        x: Buf<'a, E>,
+        bias: &Buf<'a, E>,
+    ) -> Result<Buf<'a, E>, PredictError> {
+        let (xv, b) = (x.view(), bias.view());
+        check(b.rows == 1 && b.cols == xv.cols, "add_row_broadcast", xv, b)?;
+        let (rows, cols) = (xv.rows, xv.cols);
+        let mut out = self.pooled(x);
+        kernels::add_bias_rows(out.as_mut_slice(), b.data, rows, cols);
+        Ok(Buf::Pooled(out))
+    }
+
+    fn relu(&mut self, x: Buf<'a, E>) -> Buf<'a, E> {
+        self.map(x, |e| e.max(E::ZERO))
+    }
+
+    fn leaky_relu(&mut self, x: Buf<'a, E>, slope: E) -> Buf<'a, E> {
+        self.map(x, |e| if e > E::ZERO { e } else { slope * e })
+    }
+
+    fn dropout(&mut self, x: Buf<'a, E>) -> Buf<'a, E> {
+        x
+    }
+
+    fn outer_sum(&mut self, u: Buf<'a, E>, v: Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
+        let (uv, vv) = (u.view(), v.view());
+        check(uv.cols == 1 && vv.cols == 1, "outer_sum", uv, vv)?;
+        let mut out = self.blank(uv.rows, vv.rows);
+        let data = out.as_mut_slice();
+        for (i, &ui) in uv.data.iter().enumerate() {
+            for (j, &vj) in vv.data.iter().enumerate() {
+                data[i * vv.rows + j] = ui + vj;
+            }
+        }
+        self.free(u);
+        self.free(v);
+        Ok(Buf::Pooled(out))
+    }
+
+    fn masked_softmax_rows(&mut self, x: Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
+        let (xv, mask) = (x.view(), self.plan.mask.view());
+        check((xv.rows, xv.cols) == (mask.rows, mask.cols), "masked_softmax_rows", xv, mask)?;
+        let mut out = self.blank(xv.rows, xv.cols);
+        self.backend.masked_softmax_rows(xv.data, mask.data, out.as_mut_slice(), xv.rows, xv.cols);
+        self.free(x);
+        Ok(Buf::Pooled(out))
+    }
+
+    fn concat_push(
+        &mut self,
+        cat: &mut Option<Buf<'a, E>>,
+        part: Buf<'a, E>,
+    ) -> Result<(), PredictError> {
+        let Some(acc) = cat.take() else {
+            *cat = Some(part);
+            return Ok(());
+        };
+        let (a, b) = (acc.view(), part.view());
+        check(a.rows == b.rows, "concat_cols", a, b)?;
+        let width = a.cols + b.cols;
+        let mut out = self.blank(a.rows, width);
+        let data = out.as_mut_slice();
+        for r in 0..a.rows {
+            data[r * width..r * width + a.cols].copy_from_slice(a.row(r));
+            data[r * width + a.cols..(r + 1) * width].copy_from_slice(b.row(r));
+        }
+        self.free(acc);
+        self.free(part);
+        *cat = Some(Buf::Pooled(out));
+        Ok(())
+    }
+
+    fn concat_cols(&mut self, cat: Option<Buf<'a, E>>) -> Result<Buf<'a, E>, PredictError> {
+        cat.ok_or_else(|| PredictError::Engine("gat layer has no heads (corrupt plan)".to_string()))
+    }
+
+    fn transpose(&mut self, x: &Buf<'a, E>) -> Buf<'a, E> {
+        let v = x.view();
+        let mut out = self.blank(v.cols, v.rows);
+        kernels::transpose(v.data, out.as_mut_slice(), v.rows, v.cols);
+        Buf::Pooled(out)
+    }
+
+    fn scale(&mut self, x: Buf<'a, E>, alpha: E) -> Buf<'a, E> {
+        self.map(x, |e| alpha * e + E::ZERO)
+    }
+
+    fn add(&mut self, a: Buf<'a, E>, b: Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
+        let (av, bv) = (a.view(), b.view());
+        check((av.rows, av.cols) == (bv.rows, bv.cols), "add", av, bv)?;
+        let mut sum = self.pooled(a);
+        sum.as_mut_slice().iter_mut().zip(b.view().data).for_each(|(s, &y)| *s += y);
+        self.free(b);
+        Ok(Buf::Pooled(sum))
+    }
+
+    fn rowwise_dot(&mut self, a: &Buf<'a, E>, b: &Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
+        let (a, b) = (a.view(), b.view());
+        check((a.rows, a.cols) == (b.rows, b.cols), "rowwise_dot", a, b)?;
+        let mut out = self.blank(a.rows, 1);
+        self.backend.rowwise_dot(a.data, b.data, out.as_mut_slice(), a.rows, a.cols);
+        Ok(Buf::Pooled(out))
+    }
 }
 
 /// Convenience: sanity-check an engine against a snapshot's own
@@ -665,6 +632,63 @@ mod tests {
                 want[(i, 0)],
                 got[(i, 0)]
             );
+        }
+    }
+
+    /// Bit-for-bit equality of two same-shape matrices.
+    fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
+        assert_eq!(want.shape(), got.shape(), "{what}: shape");
+        for (i, (w, g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+            assert_eq!(w.to_bits(), g.to_bits(), "{what}: element {i}: {w} vs {g}");
+        }
+    }
+
+    #[test]
+    fn engine_matches_tape_across_architectures() {
+        // The demo config has a slave-column subset, the residual skip,
+        // several heads and one hidden layer in both dense stacks; each
+        // row turns one of those off after a short fit.
+        use ams_core::AmsConfig;
+        let demo = AmsConfig {
+            nt_hidden: vec![16],
+            gen_hidden: vec![16],
+            epochs: 15,
+            dropout: 0.0,
+            slave_cols: Some((0..8).collect()),
+            seed: 81,
+            ..AmsConfig::default()
+        };
+        let variants = [
+            ("no residual", AmsConfig { residual: false, ..demo.clone() }),
+            ("every slave column", AmsConfig { slave_cols: None, ..demo.clone() }),
+            ("no node transform", AmsConfig { nt_hidden: vec![], ..demo.clone() }),
+            ("linear generator", AmsConfig { gen_hidden: vec![], ..demo.clone() }),
+            ("one head", AmsConfig { gat_heads: 1, ..demo.clone() }),
+        ];
+        let par = ams_tensor::runtime::Par::new(2);
+        for (name, config) in variants {
+            let fx = crate::demo::train_with(81, config);
+            let engine = Engine::new(fx.artifact.clone()).unwrap();
+            let x = &fx.artifact.reference_features;
+            let mut on_par = fx.artifact.snapshot.clone();
+            on_par.config.backend = Some("par:2".into());
+            let tape_par = AmsModel::from_snapshot(on_par);
+            for tape in [&fx.model, &tape_par] {
+                let want = tape.predict(x);
+                assert_bits_eq(&want, &engine.predict_batch(x).unwrap(), name);
+                let mut ws = Workspace::new();
+                let got = engine.predict_batch_with(x, &par, &mut ws).unwrap();
+                assert_bits_eq(&want, &got, name);
+                let (want_beta, want_beta_v) = tape.slave_weights(x);
+                let (got_beta, got_beta_v) = engine.slave_weights_batch(x).unwrap();
+                assert_bits_eq(&want_beta, &got_beta, name);
+                assert_bits_eq(&want_beta_v, &got_beta_v, name);
+                // The f32 path: within the DESIGN §14 bound.
+                let got32 = engine.predict_batch_f32(x).unwrap();
+                for (w, g) in want.as_slice().iter().zip(got32.as_slice()) {
+                    assert!((w - g).abs() <= 1e-4 * w.abs() + 1e-4, "{name}: f64 {w} vs f32 {g}");
+                }
+            }
         }
     }
 

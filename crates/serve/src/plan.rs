@@ -3,12 +3,16 @@
 //!
 //! [`Engine`](crate::Engine) scores through a [`ForwardPlan`] rather
 //! than reading `Matrix` weights out of the snapshot on every request.
-//! The plan for `E = f64` holds exact copies of the snapshot (narrowing
-//! is the identity), so the f64 path stays bit-for-bit equal to
-//! training-side `AmsModel::predict`. The plan for `E = f32` is the
-//! quantized model: every weight rounded once, at load time, to the
-//! nearest f32 — the serving-side half of the mixed-precision path
-//! described in DESIGN.md §14.
+//! A plan is the forward's shape ([`Arch`]: layer counts, heads,
+//! slopes, γ) plus every weight in `AmsModel::param_list` order — the
+//! order the one generic `AmsModel::forward` reads its parameters in —
+//! and the dense attention mask and slave-column selection. The plan
+//! for `E = f64` holds exact copies of the snapshot (narrowing is the
+//! identity), so the f64 path stays bit-for-bit equal to training-side
+//! `AmsModel::predict`. The plan for `E = f32` is the quantized model:
+//! every weight and constant rounded once, at load time, to the nearest
+//! f32 — the serving-side half of the mixed-precision path described in
+//! DESIGN.md §14.
 //!
 //! The f32 plan also has a standalone binary serialization
 //! ([`ForwardPlan::to_bytes`] / [`ForwardPlan::from_bytes`]) so a
@@ -18,6 +22,7 @@
 //! the input could justify.
 
 use crate::artifact::ModelArtifact;
+use ams_core::{Arch, GatHead, GatSpec};
 use ams_tensor::runtime::Element;
 use ams_tensor::Matrix;
 
@@ -72,11 +77,6 @@ impl<E: Element> Plane<E> {
         &mut self.data
     }
 
-    /// One row as a slice.
-    pub fn row(&self, r: usize) -> &[E] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// A borrowed, `Copy` view of the whole plane.
     pub fn view(&self) -> PlaneRef<'_, E> {
         PlaneRef { rows: self.rows, cols: self.cols, data: &self.data }
@@ -103,33 +103,18 @@ pub struct PlaneRef<'a, E: Element> {
     pub data: &'a [E],
 }
 
+impl<'a, E: Element> PlaneRef<'a, E> {
+    /// One row as a slice.
+    pub fn row(&self, r: usize) -> &'a [E] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
 impl<'a> PlaneRef<'a, f64> {
     /// View a matrix as an f64 plane.
     pub fn of_matrix(m: &'a Matrix) -> Self {
         Self { rows: m.rows(), cols: m.cols(), data: m.as_slice() }
     }
-}
-
-/// One affine layer of the plan (`w` is `in×out`, `b` is `1×out`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanLinear<E: Element> {
-    pub w: Plane<E>,
-    pub b: Plane<E>,
-}
-
-/// One attention head of the plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanGatHead<E: Element> {
-    pub w: Plane<E>,
-    pub a_left: Plane<E>,
-    pub a_right: Plane<E>,
-}
-
-/// One GAT layer of the plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanGatLayer<E: Element> {
-    pub heads: Vec<PlanGatHead<E>>,
-    pub leaky_slope: E,
 }
 
 /// Every parameter the batch forward pass reads, in the scalar it will
@@ -140,23 +125,11 @@ pub struct ForwardPlan<E: Element> {
     pub width: usize,
     /// Companies (graph nodes) `n`.
     pub companies: usize,
-    /// Node-transform layers (Eq. 1).
-    pub nt: Vec<PlanLinear<E>>,
-    /// GAT stack (Eqs. 2–3).
-    pub gat: Vec<PlanGatLayer<E>>,
-    /// Concatenate the node-transform output after the GAT stack.
-    pub residual: bool,
-    /// Generator layers (Eq. 6).
-    pub gen: Vec<PlanLinear<E>>,
-    /// Assembly weight γ (Eq. 10).
-    pub gamma: E,
-    /// `1 − γ`, computed in f64 *before* narrowing so both plans scale
-    /// β_c by the same rounded constant.
-    pub gamma_c: E,
-    /// `β_cᵀ` (`1×m`), pre-transposed — a transpose is an exact
-    /// element copy, so hoisting it out of the request path preserves
-    /// the f64 bit contract.
-    pub beta_c_t: Plane<E>,
+    /// The forward's shape, its constants narrowed to `E`.
+    pub arch: Arch<E>,
+    /// The trained weights in `AmsModel::param_list` order: node
+    /// transform, GAT heads, generator, β_c.
+    pub weights: Vec<Plane<E>>,
     /// Dense adjacency mask (`n×n`).
     pub mask: Plane<E>,
     /// 0/1 projection from full feature space to slave columns
@@ -174,54 +147,13 @@ impl<E: Element> ForwardPlan<E> {
             .as_ref()
             .ok_or_else(|| "artifact has no adjacency mask (corrupt snapshot)".to_string())?;
         let d = artifact.feature_width();
-        let selection = snap.config.slave_cols.as_ref().map(|cols| {
-            let mut s = vec![E::ZERO; d * cols.len()];
-            for (j, &c) in cols.iter().enumerate() {
-                s[c * cols.len() + j] = E::ONE;
-            }
-            Plane::from_vec(d, cols.len(), s)
-        });
-        let beta_c_t = {
-            let (r, c) = snap.beta_c.shape();
-            let mut data = vec![E::ZERO; r * c];
-            for i in 0..r {
-                for j in 0..c {
-                    data[j * r + i] = E::from_f64(snap.beta_c[(i, j)]);
-                }
-            }
-            Plane::from_vec(c, r, data)
-        };
-        let linear = |l: &ams_core::LinearLayer| PlanLinear {
-            w: Plane::from_matrix(&l.w),
-            b: Plane::from_matrix(&l.b),
-        };
         Ok(Self {
             width: d,
             companies: artifact.num_companies(),
-            nt: snap.nt.iter().map(linear).collect(),
-            gat: snap
-                .gat
-                .iter()
-                .map(|layer| PlanGatLayer {
-                    heads: layer
-                        .heads
-                        .iter()
-                        .map(|h| PlanGatHead {
-                            w: Plane::from_matrix(&h.w),
-                            a_left: Plane::from_matrix(&h.a_left),
-                            a_right: Plane::from_matrix(&h.a_right),
-                        })
-                        .collect(),
-                    leaky_slope: E::from_f64(layer.leaky_slope),
-                })
-                .collect(),
-            residual: snap.config.residual,
-            gen: snap.gen.iter().map(linear).collect(),
-            gamma: E::from_f64(snap.config.gamma),
-            gamma_c: E::from_f64(1.0 - snap.config.gamma),
-            beta_c_t,
+            arch: Arch::new(snap, E::from_f64),
+            weights: snap.params().into_iter().map(|(_, w, _)| Plane::from_matrix(w)).collect(),
             mask: Plane::from_matrix(mask),
-            selection,
+            selection: snap.config.slave_selection(d).as_ref().map(Plane::from_matrix),
         })
     }
 }
@@ -235,49 +167,48 @@ impl<E: Element> ForwardPlan<E> {
 //   nt × (plane w, plane b)
 //   gat × (heads u32, leaky_slope f32, heads × (plane w, a_left, a_right))
 //   gen × (plane w, plane b)
-//   plane beta_c_t | plane mask | [plane selection]
-// where plane = rows u32 | cols u32 | rows·cols × f32.
+//   plane beta_cᵀ (1×m) | plane mask | [plane selection]
+// where plane = rows u32 | cols u32 | rows·cols × f32. The planes are
+// the weights in order, except that β_c (m×1) is written as its
+// transpose: the same values under a 1×m header.
 
 impl ForwardPlan<f32> {
     /// Serialize the quantized plan to a standalone byte string.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let arch = &self.arch;
         let mut out = Vec::new();
         out.extend_from_slice(PLAN32_MAGIC);
         out.push(PLAN32_VERSION);
-        out.push(self.residual as u8);
+        out.push(arch.residual as u8);
         out.push(self.selection.is_some() as u8);
-        for v in [
-            self.width as u32,
-            self.companies as u32,
-            self.nt.len() as u32,
-            self.gat.len() as u32,
-            self.gen.len() as u32,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
+        for v in [self.width, self.companies, arch.nt, arch.gat.len(), arch.gen] {
+            out.extend_from_slice(&(v as u32).to_le_bytes());
         }
-        out.extend_from_slice(&self.gamma.to_le_bytes());
-        out.extend_from_slice(&self.gamma_c.to_le_bytes());
-        for l in &self.nt {
-            write_plane(&mut out, &l.w);
-            write_plane(&mut out, &l.b);
+        out.extend_from_slice(&arch.gamma.to_le_bytes());
+        out.extend_from_slice(&arch.gamma_c.to_le_bytes());
+        let mut weights = self.weights.iter();
+        for w in weights.by_ref().take(2 * arch.nt) {
+            write_plane(&mut out, w.view());
         }
-        for layer in &self.gat {
-            out.extend_from_slice(&(layer.heads.len() as u32).to_le_bytes());
+        for layer in &arch.gat {
+            out.extend_from_slice(&(layer.heads as u32).to_le_bytes());
             out.extend_from_slice(&layer.leaky_slope.to_le_bytes());
-            for h in &layer.heads {
-                write_plane(&mut out, &h.w);
-                write_plane(&mut out, &h.a_left);
-                write_plane(&mut out, &h.a_right);
+            for w in weights.by_ref().take(GatHead::N_PARAMS * layer.heads) {
+                write_plane(&mut out, w.view());
             }
         }
-        for l in &self.gen {
-            write_plane(&mut out, &l.w);
-            write_plane(&mut out, &l.b);
+        for w in weights.by_ref().take(2 * arch.gen) {
+            write_plane(&mut out, w.view());
         }
-        write_plane(&mut out, &self.beta_c_t);
-        write_plane(&mut out, &self.mask);
+        if let Some(bc) = weights.next() {
+            write_plane(
+                &mut out,
+                PlaneRef { rows: bc.cols(), cols: bc.rows(), data: bc.as_slice() },
+            );
+        }
+        write_plane(&mut out, self.mask.view());
         if let Some(sel) = &self.selection {
-            write_plane(&mut out, sel);
+            write_plane(&mut out, sel.view());
         }
         out
     }
@@ -302,41 +233,34 @@ impl ForwardPlan<f32> {
         let has_selection = cur.u8()? != 0;
         let width = cur.u32()? as usize;
         let companies = cur.u32()? as usize;
-        let nt_len = cur.u32()? as usize;
+        let nt = cur.u32()? as usize;
         let gat_len = cur.u32()? as usize;
-        let gen_len = cur.u32()? as usize;
+        let gen = cur.u32()? as usize;
         let gamma = cur.f32()?;
         let gamma_c = cur.f32()?;
-        // Layer counts are not trusted: each iteration consumes bytes,
-        // so a lying count fails on `take` long before it can balloon
-        // the growing Vecs past the input size.
-        let mut nt = Vec::new();
-        for _ in 0..nt_len {
-            // ams-lint: allow(no-unbounded-queue-in-serve) — bounded by the take()-checked input length
-            nt.push(PlanLinear { w: read_plane(&mut cur)?, b: read_plane(&mut cur)? });
-        }
+        // Layer counts are not trusted: each plane consumes bytes, so a
+        // lying count fails on `take` long before it can balloon the
+        // growing Vecs past the input size.
+        let mut weights = Vec::new();
+        read_planes(&mut cur, 2 * nt, &mut weights)?;
         let mut gat = Vec::new();
         for _ in 0..gat_len {
-            let n_heads = cur.u32()? as usize;
+            let heads = cur.u32()? as usize;
             let leaky_slope = cur.f32()?;
-            let mut heads = Vec::new();
-            for _ in 0..n_heads {
-                // ams-lint: allow(no-unbounded-queue-in-serve) — bounded by the take()-checked input length
-                heads.push(PlanGatHead {
-                    w: read_plane(&mut cur)?,
-                    a_left: read_plane(&mut cur)?,
-                    a_right: read_plane(&mut cur)?,
-                });
-            }
+            read_planes(&mut cur, GatHead::N_PARAMS * heads, &mut weights)?;
             // ams-lint: allow(no-unbounded-queue-in-serve) — bounded by the take()-checked input length
-            gat.push(PlanGatLayer { heads, leaky_slope });
+            gat.push(GatSpec { heads, leaky_slope });
         }
-        let mut gen = Vec::new();
-        for _ in 0..gen_len {
-            // ams-lint: allow(no-unbounded-queue-in-serve) — bounded by the take()-checked input length
-            gen.push(PlanLinear { w: read_plane(&mut cur)?, b: read_plane(&mut cur)? });
-        }
+        read_planes(&mut cur, 2 * gen, &mut weights)?;
         let beta_c_t = read_plane(&mut cur)?;
+        if beta_c_t.rows() != 1 {
+            return Err(format!(
+                "plan32: beta_c is {}x{}, not a row",
+                beta_c_t.rows(),
+                beta_c_t.cols()
+            ));
+        }
+        weights.push(Plane::from_vec(beta_c_t.cols(), 1, beta_c_t.into_vec()));
         let mask = read_plane(&mut cur)?;
         let selection = if has_selection { Some(read_plane(&mut cur)?) } else { None };
         if cur.pos != bytes.len() {
@@ -349,28 +273,26 @@ impl ForwardPlan<f32> {
                 mask.cols()
             ));
         }
-        Ok(Self {
-            width,
-            companies,
-            nt,
-            gat,
-            residual,
-            gen,
-            gamma,
-            gamma_c,
-            beta_c_t,
-            mask,
-            selection,
-        })
+        let arch = Arch { nt, gat, residual, gen, gamma, gamma_c };
+        Ok(Self { width, companies, arch, weights, mask, selection })
     }
 }
 
-fn write_plane(out: &mut Vec<u8>, p: &Plane<f32>) {
-    out.extend_from_slice(&(p.rows() as u32).to_le_bytes());
-    out.extend_from_slice(&(p.cols() as u32).to_le_bytes());
-    for v in p.as_slice() {
+fn write_plane(out: &mut Vec<u8>, p: PlaneRef<'_, f32>) {
+    out.extend_from_slice(&(p.rows as u32).to_le_bytes());
+    out.extend_from_slice(&(p.cols as u32).to_le_bytes());
+    for v in p.data {
         out.extend_from_slice(&v.to_le_bytes());
     }
+}
+
+/// Append `n` planes read from `cur` to `out`.
+fn read_planes(cur: &mut Cursor<'_>, n: usize, out: &mut Vec<Plane<f32>>) -> Result<(), String> {
+    for _ in 0..n {
+        // ams-lint: allow(no-unbounded-queue-in-serve) — bounded by the take()-checked input length
+        out.push(read_plane(cur)?);
+    }
+    Ok(())
 }
 
 fn read_plane(cur: &mut Cursor<'_>) -> Result<Plane<f32>, String> {
@@ -428,21 +350,13 @@ mod tests {
         let fx = trained_fixture(71);
         let plan: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
         let snap = &fx.artifact.snapshot;
-        assert_eq!(plan.nt.len(), snap.nt.len());
-        for (pl, l) in plan.nt.iter().zip(&snap.nt) {
-            assert_eq!(pl.w.as_slice(), l.w.as_slice());
-            assert_eq!(pl.b.as_slice(), l.b.as_slice());
+        let want: Vec<_> = snap.params().into_iter().map(|(_, w, _)| w).collect();
+        assert_eq!(plan.weights.len(), want.len());
+        for (pw, w) in plan.weights.iter().zip(want) {
+            assert_eq!((pw.rows(), pw.cols()), w.shape());
+            assert_eq!(pw.as_slice(), w.as_slice());
         }
-        // The pre-transposed β_cᵀ holds the same values.
-        let bc = &snap.beta_c;
-        assert_eq!(plan.beta_c_t.rows(), bc.cols());
-        assert_eq!(plan.beta_c_t.cols(), bc.rows());
-        for i in 0..bc.rows() {
-            for j in 0..bc.cols() {
-                assert_eq!(plan.beta_c_t.row(j)[i].to_bits(), bc[(i, j)].to_bits());
-            }
-        }
-        assert_eq!(plan.gamma, snap.config.gamma);
+        assert_eq!(plan.arch.gamma, snap.config.gamma);
     }
 
     #[test]
@@ -450,11 +364,12 @@ mod tests {
         let fx = trained_fixture(72);
         let p64: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
         let p32: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
-        for (a, b) in p64.nt.iter().zip(&p32.nt) {
-            for (x, y) in a.w.as_slice().iter().zip(b.w.as_slice()) {
+        for (a, b) in p64.weights.iter().zip(&p32.weights) {
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!((*x as f32).to_bits(), y.to_bits());
             }
         }
+        assert_eq!(p32.arch.gamma_c.to_bits(), ((1.0 - p64.arch.gamma) as f32).to_bits());
     }
 
     #[test]
@@ -465,13 +380,8 @@ mod tests {
         let back = ForwardPlan::from_bytes(&bytes).unwrap();
         assert_eq!(back.width, plan.width);
         assert_eq!(back.companies, plan.companies);
-        assert_eq!(back.residual, plan.residual);
-        assert_eq!(back.gamma.to_bits(), plan.gamma.to_bits());
-        assert_eq!(back.gamma_c.to_bits(), plan.gamma_c.to_bits());
-        assert_eq!(back.nt, plan.nt);
-        assert_eq!(back.gat, plan.gat);
-        assert_eq!(back.gen, plan.gen);
-        assert_eq!(back.beta_c_t, plan.beta_c_t);
+        assert_eq!(back.arch, plan.arch);
+        assert_eq!(back.weights, plan.weights);
         assert_eq!(back.mask, plan.mask);
         assert_eq!(back.selection, plan.selection);
     }

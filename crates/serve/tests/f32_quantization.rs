@@ -99,10 +99,26 @@ fn decoded_plan_predicts_identically_to_in_memory_plan() {
     let in_memory = engine.plan_f32();
     assert_eq!(decoded.width, in_memory.width);
     assert_eq!(decoded.companies, in_memory.companies);
-    assert_eq!(decoded.nt.len(), in_memory.nt.len());
-    for (a, b) in decoded.nt.iter().zip(&in_memory.nt) {
-        assert_eq!(a.w.as_slice(), b.w.as_slice());
-        assert_eq!(a.b.as_slice(), b.b.as_slice());
+    assert_eq!(decoded.arch, in_memory.arch);
+    assert_eq!(decoded.weights.len(), in_memory.weights.len());
+    for (i, (a, b)) in decoded.weights.iter().zip(&in_memory.weights).enumerate() {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "weight {i} shape");
+        let (a, b) = (a.as_slice().iter(), b.as_slice().iter());
+        assert!(a.map(|v| v.to_bits()).eq(b.map(|v| v.to_bits())), "weight {i} bits");
     }
     assert_eq!(decoded.mask.as_slice(), in_memory.mask.as_slice());
+    assert_eq!(decoded.selection, in_memory.selection);
+}
+
+/// The `AMSPLN32` bytes of the demo model's f32 plan, pinned: the
+/// layout is a shipping format, so a refactor of the plan must not
+/// move a byte of it.
+#[test]
+fn plan32_bytes_match_the_pinned_fixture() {
+    let pinned = include_bytes!("fixtures/plan32_demo77.bin");
+    let bytes = base_artifact().quantize_f32().unwrap().to_bytes();
+    assert_eq!(bytes.len(), pinned.len(), "AMSPLN32 length moved");
+    assert!(bytes == pinned, "AMSPLN32 bytes moved");
+    let decoded = ForwardPlan::from_bytes(pinned).unwrap();
+    assert!(decoded.to_bytes() == pinned, "from_bytes → to_bytes does not round-trip");
 }
