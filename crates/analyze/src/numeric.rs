@@ -3,7 +3,8 @@
 //! Flags graph patterns that are numerically fragile even when every
 //! shape is right: `log`/`div` fed by unclamped inputs (the classic
 //! NaN factories), reductions over zero-element matrices (division by
-//! zero sample count), attention rows that are fully masked, and —
+//! zero sample count), graph nodes attention cannot see past (no edges
+//! at all), and —
 //! for plans exported from a live tape — the earliest node whose
 //! recorded value already contained a NaN/∞, which is exactly the
 //! provenance the debug-only `all_finite` assert used to give only in
@@ -76,13 +77,13 @@ pub fn check_numerics(plan: &Plan, shapes: &[Option<(usize, usize)>]) -> Vec<Dia
                     }
                 }
             }
-            PlanOp::MaskedSoftmaxRows { fully_masked_rows, .. } if *fully_masked_rows > 0 => {
+            PlanOp::GraphAttention { isolated, .. } if *isolated > 0 => {
                 out.push(Diagnostic::info(
-                    "softmax-isolated-rows",
+                    "graph-isolated-nodes",
                     node_location(plan, id),
                     format!(
-                        "{fully_masked_rows} fully-masked row(s): isolated graph nodes \
-                         attend to nothing and output zeros"
+                        "{isolated} graph node(s) with no edges, not even a self-loop: \
+                         they attend to nothing and output zeros"
                     ),
                 ));
             }
@@ -119,6 +120,7 @@ pub fn check_numerics(plan: &Plan, shapes: &[Option<(usize, usize)>]) -> Vec<Dia
 mod tests {
     use super::*;
     use crate::shape::check_shapes;
+    use ams_tensor::runtime::EdgeList;
     use ams_tensor::{Graph, Matrix, Plan};
 
     fn analyze(plan: &Plan) -> Vec<Diagnostic> {
@@ -160,15 +162,26 @@ mod tests {
     }
 
     #[test]
-    fn isolated_softmax_rows_are_informational() {
+    fn isolated_graph_nodes_are_informational() {
+        let rows: [&[u32]; 2] = [&[0, 1], &[]];
+        let edges = std::sync::Arc::new(EdgeList::from_rows(rows).unwrap());
         let mut g = Graph::new();
-        let x = g.input(Matrix::zeros(2, 2));
-        let mask = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]);
-        let _s = g.masked_softmax_rows(x, &mask);
+        let s = g.input(Matrix::zeros(2, 1));
+        let wh = g.input(Matrix::zeros(2, 3));
+        let _h = g.graph_attention(s, s, wh, &edges, 0.2);
         let diags = analyze(&g.plan());
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "softmax-isolated-rows");
+        assert_eq!(diags[0].rule, "graph-isolated-nodes");
         assert_eq!(diags[0].severity, crate::Severity::Info);
+        assert!(diags[0].message.starts_with("1 graph node(s)"), "{}", diags[0].message);
+        // Self-loops alone are edges: no finding.
+        let loops: [&[u32]; 2] = [&[0], &[1]];
+        let edges = std::sync::Arc::new(EdgeList::from_rows(loops).unwrap());
+        let mut g = Graph::new();
+        let s = g.input(Matrix::zeros(2, 1));
+        let wh = g.input(Matrix::zeros(2, 3));
+        let _h = g.graph_attention(s, s, wh, &edges, 0.2);
+        assert!(analyze(&g.plan()).is_empty());
     }
 
     #[test]

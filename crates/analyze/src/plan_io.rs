@@ -20,10 +20,10 @@
 //! ```
 //!
 //! Per-op extras: `alpha` (`affine`, `leaky_relu`), `lo` (`clamp_min`),
-//! `mask_shape` (`masked_softmax_rows`, `dropout`), `fully_masked_rows`
-//! (`masked_softmax_rows`, default 0), `n_ids`/`max_id`
-//! (`select_rows`), `finite` (any node, default `true`), `shape` (any
-//! node; required on leaves). The vendored `serde_derive` cannot
+//! `mask_shape` (`dropout`), `slope`/`nodes`/`edges`/`isolated`
+//! (`graph_attention`, whose inputs are `[s_l, s_r, wh]`; `isolated`
+//! defaults to 0), `n_ids`/`max_id` (`select_rows`), `finite` (any
+//! node, default `true`), `shape` (any node; required on leaves). The vendored `serde_derive` cannot
 //! derive data-carrying enums, so everything here is hand-rolled over
 //! `serde_json::Value`.
 
@@ -141,16 +141,16 @@ fn parse_node(spec: &Value, id: usize) -> Result<PlanNode, String> {
             arity(2)?;
             PlanOp::AddRowBroadcast(inputs[0], inputs[1])
         }
-        "outer_sum" => {
-            arity(2)?;
-            PlanOp::OuterSum(inputs[0], inputs[1])
-        }
-        "masked_softmax_rows" => {
-            arity(1)?;
-            PlanOp::MaskedSoftmaxRows {
-                x: inputs[0],
-                mask_shape: get_pair(spec, "mask_shape").ok_or_else(|| missing("mask_shape"))?,
-                fully_masked_rows: get_usize(spec, "fully_masked_rows").unwrap_or(0),
+        "graph_attention" => {
+            arity(3)?;
+            PlanOp::GraphAttention {
+                s_l: inputs[0],
+                s_r: inputs[1],
+                wh: inputs[2],
+                slope: get_f64(spec, "slope").ok_or_else(|| missing("slope"))?,
+                nodes: get_usize(spec, "nodes").ok_or_else(|| missing("nodes"))?,
+                edges: get_usize(spec, "edges").ok_or_else(|| missing("edges"))?,
+                isolated: get_usize(spec, "isolated").unwrap_or(0),
             }
         }
         "concat_cols" => PlanOp::ConcatCols(inputs.clone()),
@@ -255,12 +255,11 @@ pub fn audit_to_json(audit: &PlanAudit) -> Value {
                 PlanOp::ClampMin(_, lo) => {
                     fields.push(("lo".to_string(), Value::Number(*lo)));
                 }
-                PlanOp::MaskedSoftmaxRows { mask_shape, fully_masked_rows, .. } => {
-                    fields.push(("mask_shape".to_string(), pair_json(*mask_shape)));
-                    fields.push((
-                        "fully_masked_rows".to_string(),
-                        Value::Number(*fully_masked_rows as f64),
-                    ));
+                PlanOp::GraphAttention { slope, nodes, edges, isolated, .. } => {
+                    fields.push(("slope".to_string(), Value::Number(*slope)));
+                    for (key, v) in [("nodes", nodes), ("edges", edges), ("isolated", isolated)] {
+                        fields.push((key.to_string(), Value::Number(*v as f64)));
+                    }
                 }
                 PlanOp::Dropout(_, mask_shape) => {
                     fields.push(("mask_shape".to_string(), pair_json(*mask_shape)));
@@ -354,9 +353,10 @@ mod tests {
         let w = g.input(Matrix::ones(2, 1));
         let y = g.matmul(x, w);
         let s = g.sigmoid(y);
-        let mask = Matrix::ones(3, 3);
-        let logits = g.input(Matrix::zeros(3, 3));
-        let _att = g.masked_softmax_rows(logits, &mask);
+        let rows: [&[u32]; 3] = [&[0, 1], &[], &[0, 1, 2]];
+        let edges = std::sync::Arc::new(ams_tensor::runtime::EdgeList::from_rows(rows).unwrap());
+        let wh = g.input(Matrix::zeros(3, 2));
+        let _att = g.graph_attention(y, y, wh, &edges, 0.2);
         let loss = g.sq_frobenius(s);
         let audit = crate::PlanAudit {
             plan: g.plan(),

@@ -122,7 +122,7 @@ pub fn check_dead_nodes(plan: &Plan, roots: &[usize]) -> Vec<Diagnostic> {
 /// Whether an op is a pure function of its inputs *as recorded in the
 /// plan* — i.e. every constant that affects the value is part of the
 /// [`PlanOp`]. Ops carrying data the plan reduces to a summary
-/// (dropout masks, softmax masks, selected ids) are excluded: two such
+/// (dropout masks, graph edges, selected ids) are excluded: two such
 /// nodes with identical plan records can still compute different
 /// values.
 fn deduplicatable(op: &PlanOp) -> bool {
@@ -130,7 +130,7 @@ fn deduplicatable(op: &PlanOp) -> bool {
         op,
         PlanOp::Leaf
             | PlanOp::Dropout(..)
-            | PlanOp::MaskedSoftmaxRows { .. }
+            | PlanOp::GraphAttention { .. }
             | PlanOp::SelectRows { .. }
     )
 }
@@ -185,7 +185,9 @@ pub fn check_duplicates(plan: &Plan) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ams_tensor::runtime::EdgeList;
     use ams_tensor::{Graph, Matrix};
+    use std::sync::Arc;
 
     #[test]
     fn attached_params_pass_detached_param_fails() {
@@ -229,16 +231,49 @@ mod tests {
     }
 
     #[test]
-    fn dropout_and_softmax_are_never_deduplicated() {
-        // Same input, different masks — the plan only records shapes,
-        // so claiming these are duplicates would be wrong.
+    fn dropout_and_attention_are_never_deduplicated() {
+        // Same inputs, different masks or graphs — the plan only
+        // records shapes and counts, so claiming these are duplicates
+        // would be wrong.
         let mut g = Graph::new();
         let x = g.input(Matrix::ones(2, 2));
         let m1 = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]);
         let m2 = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]);
         let _d1 = g.dropout(x, &m1);
         let _d2 = g.dropout(x, &m2);
+        let s = g.input(Matrix::ones(2, 1));
+        let first: [&[u32]; 2] = [&[0], &[0, 1]];
+        let second: [&[u32]; 2] = [&[1], &[0, 1]];
+        for rows in [first, second] {
+            let edges = Arc::new(EdgeList::from_rows(rows).unwrap());
+            let _h = g.graph_attention(s, s, x, &edges, 0.2);
+        }
         assert!(check_duplicates(&g.plan()).is_empty());
+    }
+
+    #[test]
+    fn graph_attention_reaches_all_three_inputs() {
+        // One GAT head: the loss must reach W and both attention
+        // vectors through the attention node, and nothing else.
+        let mut g = Graph::new();
+        let x = g.input(Matrix::ones(3, 2));
+        let w = g.input(Matrix::ones(2, 2));
+        let a_l = g.input(Matrix::ones(2, 1));
+        let a_r = g.input(Matrix::ones(2, 1));
+        let unused = g.input(Matrix::ones(2, 1));
+        let wx = g.matmul(x, w);
+        let s_l = g.matmul(wx, a_l);
+        let s_r = g.matmul(wx, a_r);
+        let rows: [&[u32]; 3] = [&[0, 1], &[0, 1, 2], &[1, 2]];
+        let edges = Arc::new(EdgeList::from_rows(rows).unwrap());
+        let h = g.graph_attention(s_l, s_r, wx, &edges, 0.2);
+        let loss = g.sq_frobenius(h);
+        let names = ["w", "a_left", "a_right", "unused"];
+        let params: Vec<(usize, String)> =
+            [w, a_l, a_r, unused].iter().zip(names).map(|(v, n)| (v.index(), n.into())).collect();
+        let diags = check_reachability(&g.plan(), &params, loss.index());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("`unused`"));
     }
 
     #[test]

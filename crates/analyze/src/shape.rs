@@ -124,34 +124,20 @@ pub fn check_shapes(plan: &Plan) -> ShapeAnalysis {
                         Some(x)
                     }
                 }
-                PlanOp::OuterSum(..) => {
-                    let (u, v) = (dim(0), dim(1));
-                    if u.1 != 1 || v.1 != 1 {
+                PlanOp::GraphAttention { nodes, .. } => {
+                    let (n, sl, sr, wh) = (*nodes, dim(0), dim(1), dim(2));
+                    if sl != (n, 1) || sr != (n, 1) || wh.0 != n {
                         fail(
                             format!(
-                                "outer_sum: both inputs must be column vectors, got {}×{} and {}×{}",
-                                u.0, u.1, v.0, v.1
+                                "graph_attention: a {n}-node graph needs {n}×1 scores and \
+                                 {n}-row features, got s_l {}×{}, s_r {}×{}, wh {}×{}",
+                                sl.0, sl.1, sr.0, sr.1, wh.0, wh.1
                             ),
-                            "attention logits are built from n×1 score vectors",
+                            "the scores are Wh·a_l and Wh·a_r: one row per graph node",
                             &mut diagnostics,
                         )
                     } else {
-                        Some((u.0, v.0))
-                    }
-                }
-                PlanOp::MaskedSoftmaxRows { mask_shape, .. } => {
-                    let x = dim(0);
-                    if *mask_shape != x {
-                        fail(
-                            format!(
-                                "masked_softmax_rows: mask is {}×{} but the input is {}×{}",
-                                mask_shape.0, mask_shape.1, x.0, x.1
-                            ),
-                            "the adjacency mask must be n×n with n = logits rows",
-                            &mut diagnostics,
-                        )
-                    } else {
-                        Some(x)
+                        Some(wh)
                     }
                 }
                 PlanOp::ConcatCols(parts) => {
@@ -318,17 +304,30 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_outer_sum_constraints() {
+    fn broadcast_and_graph_attention_constraints() {
         let mut p = Plan::new();
         let x = p.leaf(4, 3);
         let bad_bias = p.leaf(2, 3);
         p.push(PlanOp::AddRowBroadcast(x, bad_bias), None);
-        let u = p.leaf(4, 2); // not a column vector
-        let v = p.leaf(5, 1);
-        p.push(PlanOp::OuterSum(u, v), None);
+        let attention = |s_l, s_r, wh| PlanOp::GraphAttention {
+            s_l,
+            s_r,
+            wh,
+            slope: 0.2,
+            nodes: 4,
+            edges: 9,
+            isolated: 0,
+        };
+        let sl = p.leaf(4, 2); // not a column vector
+        let sr = p.leaf(4, 1);
+        p.push(attention(sl, sr, x), None);
+        let short = p.leaf(3, 3); // one row short of the graph
+        p.push(attention(sr, sr, short), None);
+        let ok = p.push(attention(sr, sr, x), None);
         let analysis = check_shapes(&p);
-        assert_eq!(analysis.diagnostics.len(), 2);
+        assert_eq!(analysis.diagnostics.len(), 3, "{:?}", analysis.diagnostics);
         assert!(analysis.diagnostics.iter().all(|d| d.rule == "shape-mismatch"));
+        assert_eq!(analysis.shapes[ok], Some((4, 3)));
     }
 
     #[test]

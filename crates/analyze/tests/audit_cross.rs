@@ -88,12 +88,11 @@ fn serve_batch_closure_runs_the_executor_not_the_tape() {
         "GatLayer::forward",
         "GatHead::forward",
         "Executor::matmul",
-        "Executor::outer_sum",
-        "Executor::leaky_relu",
-        "Executor::masked_softmax_rows",
+        "Executor::graph_attention",
         "Executor::concat_push",
         "Executor::rowwise_dot",
-        "masked_softmax_rows",
+        "graph_attention",
+        "mac_row",
         "add_bias_rows",
         "matmul",
     ] {

@@ -15,7 +15,7 @@
 
 use ams_graph::CompanyGraph;
 use ams_tensor::init::he_uniform;
-use ams_tensor::runtime::{Backend, BackendChoice};
+use ams_tensor::runtime::{Backend, BackendChoice, EdgeList};
 use ams_tensor::{ridge_solve, Adam, AdamState, Graph, Matrix, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::checkpoint::{self, CheckpointConfig, FitHalted, TrainCheckpoint};
 use crate::forward::{Arch, ForwardOps, Tape};
-use crate::gat::{GatHead, GatLayer};
+use crate::gat::{edge_list, GatHead, GatLayer};
 
 /// AMS hyperparameters. The γ / λ_slg / λ₁ knobs are the ones the
 /// paper's random search tunes per CV fold.
@@ -148,7 +148,9 @@ pub struct ModelSnapshot {
     pub beta_c: Matrix,
     /// Anchored LR coefficients B_acr (d×1).
     pub b_acr: Option<Matrix>,
-    /// Dense adjacency mask of the training graph (n×n).
+    /// Dense adjacency mask of the training graph (n×n): the graph's
+    /// serialized form. The forward walks the edge list derived from
+    /// it once, at fit or load time.
     pub mask: Option<Matrix>,
 }
 
@@ -210,6 +212,9 @@ pub struct AmsModel {
     state: ModelSnapshot,
     /// Kernel execution backend resolved from `config.backend`.
     backend: Arc<dyn Backend>,
+    /// The edges of `state.mask`, which graph attention walks; `None`
+    /// exactly when the mask is.
+    edges: Option<Arc<EdgeList>>,
 }
 
 /// Resolve the configured backend spec, panicking on an invalid spec
@@ -243,7 +248,7 @@ impl AmsModel {
             b_acr: None,
             mask: None,
         };
-        Self { state, backend }
+        Self { state, backend, edges: None }
     }
 
     /// The configuration this model was built with.
@@ -410,15 +415,23 @@ impl AmsModel {
         Ok([pred, beta_v, beta])
     }
 
-    /// Validate fit inputs and return `(feature width, dense mask)`.
-    fn check_fit_inputs(graph: &CompanyGraph, train: &[QuarterBatch]) -> (usize, Matrix) {
+    /// Validate fit inputs and return `(feature width, the graph's edges)`.
+    fn check_fit_inputs(graph: &CompanyGraph, train: &[QuarterBatch]) -> (usize, Arc<EdgeList>) {
         assert!(!train.is_empty(), "AMS fit: no training quarters");
         let n_nodes = graph.num_nodes();
         for b in train {
             assert_eq!(b.x.rows(), n_nodes, "AMS fit: batch rows != graph nodes");
             assert_eq!(b.y.rows(), n_nodes, "AMS fit: label rows != graph nodes");
         }
-        (train[0].x.cols(), Matrix::from_vec(n_nodes, n_nodes, graph.dense_mask()))
+        (train[0].x.cols(), Arc::new(edge_list(graph)))
+    }
+
+    /// Install the fitted graph: its dense mask in the snapshot and its
+    /// edge list for the forward.
+    fn set_graph(&mut self, edges: &Arc<EdgeList>) {
+        let n = edges.nodes();
+        self.state.mask = Some(Matrix::from_vec(n, n, edges.to_mask()));
+        self.edges = Some(Arc::clone(edges));
     }
 
     /// Phase 1: the anchored LR on all training samples (Eq. 5), in
@@ -450,7 +463,7 @@ impl AmsModel {
         &self,
         g: &mut Graph,
         train: &[QuarterBatch],
-        mask: &Matrix,
+        edges: &Arc<EdgeList>,
         b_acr: &Matrix,
         params: &[Matrix],
         mut rng: Option<&mut StdRng>,
@@ -470,7 +483,7 @@ impl AmsModel {
                 selection: selection.as_ref(),
                 dropout: self.state.config.dropout,
                 rng: rng.as_deref_mut(),
-                ..Tape::new(g, mask, &param_vars)
+                ..Tape::new(g, edges, &param_vars)
             };
             let Ok([pred, beta_v, _]) = Self::forward(&mut tape, &arch, &x);
             let resid = g.sub(pred, y);
@@ -523,7 +536,7 @@ impl AmsModel {
         graph: &CompanyGraph,
         train: &[QuarterBatch],
     ) -> TrainingAudit {
-        let (d, mask) = Self::check_fit_inputs(graph, train);
+        let (d, edges) = Self::check_fit_inputs(graph, train);
         let b_acr = match &self.state.b_acr {
             Some(b) => b.clone(),
             None => {
@@ -540,7 +553,7 @@ impl AmsModel {
                 last.b = b_acr.t();
             }
         }
-        self.audit_tape(train, &mask, &b_acr, &self.param_list())
+        self.audit_tape(train, &edges, &b_acr, &self.param_list())
     }
 
     /// One epoch's training tape on `params`, recorded with its own
@@ -548,14 +561,14 @@ impl AmsModel {
     fn audit_tape(
         &self,
         train: &[QuarterBatch],
-        mask: &Matrix,
+        edges: &Arc<EdgeList>,
         b_acr: &Matrix,
         params: &[Matrix],
     ) -> TrainingAudit {
         let mut rng = StdRng::seed_from_u64(self.state.config.seed);
         let mut g = Graph::new();
         let (param_vars, loss) =
-            self.build_training_graph(&mut g, train, mask, b_acr, params, Some(&mut rng));
+            self.build_training_graph(&mut g, train, edges, b_acr, params, Some(&mut rng));
         let params = param_vars.iter().map(|v| v.index()).zip(self.param_names()).collect();
         TrainingAudit { plan: g.plan(), params, loss: loss.index() }
     }
@@ -635,7 +648,7 @@ impl AmsModel {
         ckpt: Option<&CheckpointConfig>,
         resume: bool,
     ) -> Result<f64, FitHalted> {
-        let (d, mask) = Self::check_fit_inputs(graph, train);
+        let (d, edges) = Self::check_fit_inputs(graph, train);
 
         // Phase 1: anchored LR (Eq. 5).
         let b_acr = self.fit_anchored(train, d);
@@ -692,7 +705,7 @@ impl AmsModel {
         // selection state from the checkpoint instead.)
         if let (0, Some(vb)) = (start_epoch, val) {
             self.store_params(&params);
-            self.state.mask = Some(mask.clone());
+            self.set_graph(&edges);
             let pred = self.predict(&vb.x);
             let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
             best = Some((vmse, params.clone()));
@@ -706,7 +719,7 @@ impl AmsModel {
         #[cfg(feature = "verify")]
         {
             let TrainingAudit { plan, params: named, loss } =
-                self.audit_tape(train, &mask, &b_acr, &params);
+                self.audit_tape(train, &edges, &b_acr, &params);
             let audit = ams_analyze::PlanAudit { plan, params: named, loss: Some(loss) };
             let report = ams_analyze::analyze(&audit);
             assert!(
@@ -725,7 +738,7 @@ impl AmsModel {
         for epoch in start_epoch..self.state.config.epochs {
             g.reset();
             let (param_vars, loss) =
-                self.build_training_graph(&mut g, train, &mask, &b_acr, &params, Some(&mut rng));
+                self.build_training_graph(&mut g, train, &edges, &b_acr, &params, Some(&mut rng));
             let grads = g.backward(loss);
             let grad_mats: Vec<Matrix> = param_vars.iter().map(|&v| grads.get(v)).collect();
             adam.step(&mut params, &grad_mats);
@@ -733,7 +746,7 @@ impl AmsModel {
             if let Some(vb) = val {
                 if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.state.config.epochs {
                     self.store_params(&params);
-                    self.state.mask = Some(mask.clone());
+                    self.set_graph(&edges);
                     let pred = self.predict(&vb.x);
                     let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
                     if best.as_ref().is_none_or(|(b, _)| vmse < *b) {
@@ -779,7 +792,7 @@ impl AmsModel {
         } else {
             self.store_params(&params);
         }
-        self.state.mask = Some(mask);
+        self.set_graph(&edges);
         Ok(best_val)
     }
 
@@ -812,18 +825,20 @@ impl AmsModel {
     /// the same forward pass over the same parameters).
     pub fn from_snapshot(state: ModelSnapshot) -> Self {
         let backend = resolve_backend(&state.config);
-        Self { state, backend }
+        let edges =
+            state.mask.as_ref().map(|m| Arc::new(EdgeList::from_mask(m.as_slice(), m.rows())));
+        Self { state, backend, edges }
     }
 
     fn run_eval(&self, x: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let mask = self.state.mask.as_ref().expect("predict before fit");
-        assert_eq!(x.rows(), mask.rows(), "predict: row count != graph nodes");
+        let edges = self.edges.as_ref().expect("predict before fit");
+        assert_eq!(x.rows(), edges.nodes(), "predict: row count != graph nodes");
         let params = self.param_list();
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
         let xv = g.input(x.clone());
         let pv: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
         let selection = self.state.config.slave_selection(x.cols());
-        let mut tape = Tape { selection: selection.as_ref(), ..Tape::new(&mut g, mask, &pv) };
+        let mut tape = Tape { selection: selection.as_ref(), ..Tape::new(&mut g, edges, &pv) };
         let Ok([pred, beta_v, beta]) = Self::forward(&mut tape, &self.arch(), &xv);
         (g.value(pred).clone(), g.value(beta_v).clone(), g.value(beta).clone())
     }
@@ -1243,6 +1258,31 @@ mod tests {
         });
         fresh.fit(&task.graph, &task.train);
         assert_eq!(model.predict(&task.test.x).as_slice(), fresh.predict(&task.test.x).as_slice());
+    }
+
+    /// An exact proxy for the cost of an epoch: the training tape of
+    /// the `train_fold` shape — the default architecture, a
+    /// slave-column subset, T = 4 quarters of 71 companies — records
+    /// 305 nodes. Each GAT head is one `graph_attention` node where the
+    /// dense chain recorded four (outer sum, LeakyReLU, masked softmax,
+    /// `α·Wh`): 365 − 3 × 5 heads × 4 quarters. The count depends only
+    /// on the architecture and T, not on the data or the graph.
+    #[test]
+    fn training_tape_nodes_per_epoch_at_the_fold_0_shape() {
+        let n = 71;
+        let mut rng = StdRng::seed_from_u64(5);
+        let train: Vec<QuarterBatch> = (0..4)
+            .map(|_| QuarterBatch {
+                x: ams_tensor::init::xavier_uniform(n, 48, &mut rng),
+                y: ams_tensor::init::xavier_uniform(n, 1, &mut rng),
+            })
+            .collect();
+        let config = AmsConfig { slave_cols: Some((0..40).collect()), ..Default::default() };
+        let mut model = AmsModel::new(config);
+        let audit = model.training_audit(&CompanyGraph::complete(n), &train);
+        assert_eq!(audit.plan.len(), 305);
+        let attention = audit.plan.nodes.iter().filter(|node| node.op.name() == "graph_attention");
+        assert_eq!(attention.count(), 5 * 4, "one node per head per quarter");
     }
 
     #[test]

@@ -17,17 +17,19 @@
 //! [`AmsModel::forward`]: crate::AmsModel::forward
 
 use ams_tensor::init::dropout_mask;
+use ams_tensor::runtime::EdgeList;
 use ams_tensor::{Graph, Matrix, Var};
 use rand::rngs::StdRng;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use crate::ams::ModelSnapshot;
 use crate::gat::GatLayer;
 
 /// The ops of the AMS forward pass.
 ///
-/// Context only one side has lives in the implementor: the attention
-/// mask, the parameters (read by `param_list` index), the slave-column
+/// Context only one side has lives in the implementor: the company
+/// graph's edge list, the parameters (read by `param_list` index), the slave-column
 /// selection, the dropout RNG (tape only; dropout is the identity in
 /// the engine) and the request deadline (engine only).
 pub trait ForwardOps {
@@ -64,14 +66,19 @@ pub trait ForwardOps {
     ) -> Result<Self::Value, Self::Error>;
     /// `max(x, 0)`.
     fn relu(&mut self, x: Self::Value) -> Self::Value;
-    /// `x` where positive, `slope·x` elsewhere.
-    fn leaky_relu(&mut self, x: Self::Value, slope: Self::Scalar) -> Self::Value;
     /// Inverted dropout while training, the identity otherwise.
     fn dropout(&mut self, x: Self::Value) -> Self::Value;
-    /// `out[i][j] = u[i] + v[j]` from two column vectors.
-    fn outer_sum(&mut self, u: Self::Value, v: Self::Value) -> Result<Self::Value, Self::Error>;
-    /// Row-wise softmax over the attention mask's neighbours.
-    fn masked_softmax_rows(&mut self, x: Self::Value) -> Result<Self::Value, Self::Error>;
+    /// One attention head over the company graph's edges: the
+    /// softmax of `LeakyReLU(s_l[i] + s_r[j])` (negative slope `slope`)
+    /// over node `i`'s neighbours `j`, applied to the rows of `wh`:
+    /// `out[i] = Σ_j α_ij·wh[j]` (Eq. 2 before its activation).
+    fn graph_attention(
+        &mut self,
+        s_l: Self::Value,
+        s_r: Self::Value,
+        wh: &Self::Value,
+        slope: Self::Scalar,
+    ) -> Result<Self::Value, Self::Error>;
     /// Append `part` to a column concatenation.
     fn concat_push(&mut self, cat: &mut Self::Concat, part: Self::Value)
         -> Result<(), Self::Error>;
@@ -136,8 +143,8 @@ impl<S> Arch<S> {
 /// the order the forward calls it.
 pub struct Tape<'a> {
     pub(crate) g: &'a mut Graph,
-    /// Dense `n×n` attention mask of the company graph.
-    pub(crate) mask: &'a Matrix,
+    /// The company graph's edges, shared with every attention node.
+    pub(crate) edges: &'a Arc<EdgeList>,
     /// Parameter leaves, in `param_list` order.
     pub(crate) params: &'a [Var],
     /// Slave-column selection, recorded as a leaf where it is used.
@@ -150,8 +157,8 @@ pub struct Tape<'a> {
 
 impl<'a> Tape<'a> {
     /// An evaluation tape: no dropout, every column in the slave.
-    pub fn new(g: &'a mut Graph, mask: &'a Matrix, params: &'a [Var]) -> Self {
-        Self { g, mask, params, selection: None, dropout: 0.0, rng: None }
+    pub fn new(g: &'a mut Graph, edges: &'a Arc<EdgeList>, params: &'a [Var]) -> Self {
+        Self { g, edges, params, selection: None, dropout: 0.0, rng: None }
     }
 }
 
@@ -196,10 +203,6 @@ impl ForwardOps for Tape<'_> {
         self.g.relu(x)
     }
 
-    fn leaky_relu(&mut self, x: Var, slope: f64) -> Var {
-        self.g.leaky_relu(x, slope)
-    }
-
     fn dropout(&mut self, x: Var) -> Var {
         match self.rng.as_deref_mut() {
             Some(rng) if self.dropout > 0.0 => {
@@ -211,12 +214,14 @@ impl ForwardOps for Tape<'_> {
         }
     }
 
-    fn outer_sum(&mut self, u: Var, v: Var) -> Result<Var, Infallible> {
-        Ok(self.g.outer_sum(u, v))
-    }
-
-    fn masked_softmax_rows(&mut self, x: Var) -> Result<Var, Infallible> {
-        Ok(self.g.masked_softmax_rows(x, self.mask))
+    fn graph_attention(
+        &mut self,
+        s_l: Var,
+        s_r: Var,
+        wh: &Var,
+        slope: f64,
+    ) -> Result<Var, Infallible> {
+        Ok(self.g.graph_attention(s_l, s_r, *wh, self.edges, slope))
     }
 
     fn concat_push(&mut self, cat: &mut Vec<Var>, part: Var) -> Result<(), Infallible> {

@@ -3,15 +3,27 @@
 //! Each head computes attention logits with the standard decomposition
 //! `e_ij = LeakyReLU(a_lᵀ W x_i + a_rᵀ W x_j)` (equivalent to the
 //! original `a^T [Wx_i ‖ Wx_j]` form), softmaxes them over each node's
-//! neighbourhood in the company correlation graph (masked softmax), and
-//! aggregates `x'_i = φ(Σ_j α_ij W x_j)` (Eq. 2). Hidden layers
+//! neighbourhood in the company correlation graph, and aggregates
+//! `x'_i = φ(Σ_j α_ij W x_j)` (Eq. 2). The last three steps are one op,
+//! [`ForwardOps::graph_attention`], which walks the graph's CSR edge
+//! list: O(E·F) work per head, where a dense `n×n` logit matrix would
+//! cost O(n²·F) for a graph that is ~90% non-edges at k = 5. Hidden layers
 //! concatenate `H` heads (Eq. 3); per the paper, "the final output
 //! layer of GAT is a single attention head layer".
 
 use crate::forward::{ForwardOps, GatSpec};
+use ams_graph::CompanyGraph;
 use ams_tensor::init::xavier_uniform;
+use ams_tensor::runtime::EdgeList;
 use ams_tensor::Matrix;
 use rand::Rng;
+
+/// The edge list attention walks, derived from a company graph's CSR
+/// rows (which `CompanyGraph` keeps sorted and deduplicated).
+pub fn edge_list(graph: &CompanyGraph) -> EdgeList {
+    EdgeList::from_rows((0..graph.num_nodes()).map(|i| graph.neighbors(i)))
+        .expect("CompanyGraph rows are sorted, deduplicated and in range")
+}
 
 /// One attention head's parameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -55,11 +67,7 @@ impl GatHead {
         let wx = ops.matmul(x, &ops.param(first)?)?; // n×out
         let s_l = ops.matmul(&wx, &ops.param(first + 1)?)?; // n×1
         let s_r = ops.matmul(&wx, &ops.param(first + 2)?)?; // n×1
-        let logits = ops.outer_sum(s_l, s_r)?; // e_ij = s_l[i] + s_r[j]
-        let logits = ops.leaky_relu(logits, leaky_slope);
-        let attn = ops.masked_softmax_rows(logits)?;
-        let out = ops.matmul(&attn, &wx)?; // Σ_j α_ij W x_j
-        ops.free(attn);
+        let out = ops.graph_attention(s_l, s_r, &wx, leaky_slope)?; // Σ_j α_ij W x_j
         ops.free(wx);
         Ok(out)
     }
@@ -132,27 +140,33 @@ impl GatLayer {
 mod tests {
     use super::*;
     use crate::forward::Tape;
-    use ams_graph::CompanyGraph;
     use ams_tensor::gradcheck::{check_gradients, check_gradients_with};
     use ams_tensor::init::xavier_uniform;
     use ams_tensor::{Graph, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// `layer` recorded on the tape, its parameters `pv`.
-    fn layer_on_tape(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
+    fn layer_on_tape(
+        g: &mut Graph,
+        layer: &GatLayer,
+        x: Var,
+        edges: &Arc<EdgeList>,
+        pv: &[Var],
+    ) -> Var {
         let spec = GatSpec { heads: layer.heads.len(), leaky_slope: layer.leaky_slope };
-        let Ok(y) = GatLayer::forward(&mut Tape::new(g, mask, pv), &x, &spec, 0);
+        let Ok(y) = GatLayer::forward(&mut Tape::new(g, edges, pv), &x, &spec, 0);
         y
     }
 
     /// One head recorded on the tape, its parameters `pv`.
-    fn head_on_tape(g: &mut Graph, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
-        let Ok(y) = GatHead::forward(&mut Tape::new(g, mask, pv), &x, 0, 0.2);
+    fn head_on_tape(g: &mut Graph, x: Var, edges: &Arc<EdgeList>, pv: &[Var]) -> Var {
+        let Ok(y) = GatHead::forward(&mut Tape::new(g, edges, pv), &x, 0, 0.2);
         y
     }
 
-    fn line_graph_mask(n: usize) -> Matrix {
+    fn line_graph(n: usize) -> Arc<EdgeList> {
         // Path graph with self loops.
         let adj: Vec<Vec<u32>> = (0..n)
             .map(|i| {
@@ -166,8 +180,7 @@ mod tests {
                 v
             })
             .collect();
-        let g = CompanyGraph::from_adjacency(adj);
-        Matrix::from_vec(n, n, g.dense_mask())
+        Arc::new(edge_list(&CompanyGraph::from_adjacency(adj)))
     }
 
     #[test]
@@ -176,28 +189,27 @@ mod tests {
         let layer = GatLayer::hidden(6, 4, 3, &mut rng);
         assert_eq!(layer.out_dim(), 12);
         assert_eq!(layer.params().len(), 9);
-        let mask = line_graph_mask(5);
+        let edges = line_graph(5);
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(5, 6, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer_on_tape(&mut g, &layer, x, &mask, &pv);
+        let y = layer_on_tape(&mut g, &layer, x, &edges, &pv);
         assert_eq!(g.value(y).shape(), (5, 12));
     }
 
     #[test]
     fn isolated_node_gets_zero_features() {
         // A node with no edges at all (not even a self-loop) must output
-        // zeros: its attention row is fully masked.
+        // zeros: it has no neighbour to attend to.
         let mut rng = StdRng::seed_from_u64(2);
         let layer = GatLayer::output(3, 2, &mut rng);
-        let mut mask = line_graph_mask(4);
-        for c in 0..4 {
-            mask[(3, c)] = 0.0; // node 3 attends to nothing
-        }
+        // The 0-1-2-3 path, except that node 3 attends to nothing.
+        let rows: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[1, 2, 3], &[]];
+        let edges = Arc::new(EdgeList::from_rows(rows).unwrap());
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(4, 3, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer_on_tape(&mut g, &layer, x, &mask, &pv);
+        let y = layer_on_tape(&mut g, &layer, x, &edges, &pv);
         assert_eq!(g.value(y).row(3), &[0.0, 0.0]);
     }
 
@@ -208,14 +220,14 @@ mod tests {
         // head (no ReLU) so a zeroed activation can't mask the effect.
         let mut rng = StdRng::seed_from_u64(3);
         let head = GatHead::new(3, 2, &mut rng);
-        let mask = line_graph_mask(4); // 0-1-2-3 path
+        let edges = line_graph(4); // 0-1-2-3 path
         let base = xavier_uniform(4, 3, &mut rng);
 
         let run = |xm: &Matrix| {
             let mut g = Graph::new();
             let x = g.input(xm.clone());
             let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-            let y = head_on_tape(&mut g, x, &mask, &pv);
+            let y = head_on_tape(&mut g, x, &edges, &pv);
             g.value(y).clone()
         };
         let y0 = run(&base);
@@ -242,13 +254,13 @@ mod tests {
     fn gat_layer_gradcheck() {
         let mut rng = StdRng::seed_from_u64(4);
         let layer = GatLayer::hidden(4, 3, 2, &mut rng);
-        let mask = line_graph_mask(5);
+        let edges = line_graph(5);
         let x0 = xavier_uniform(5, 4, &mut rng);
         let mut params: Vec<Matrix> = vec![x0];
         params.extend(layer.params().into_iter().cloned());
         check_gradients(
             &move |g, vars| {
-                let y = layer_on_tape(g, &layer, vars[0], &mask, &vars[1..]);
+                let y = layer_on_tape(g, &layer, vars[0], &edges, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -264,7 +276,7 @@ mod tests {
         // bit-identical to the sequential ones).
         let mut rng = StdRng::seed_from_u64(4);
         let layer = GatLayer::hidden(4, 3, 2, &mut rng);
-        let mask = line_graph_mask(5);
+        let edges = line_graph(5);
         let x0 = xavier_uniform(5, 4, &mut rng);
         let mut params: Vec<Matrix> = vec![x0];
         params.extend(layer.params().into_iter().cloned());
@@ -272,7 +284,7 @@ mod tests {
             std::sync::Arc::new(ams_tensor::runtime::Par::new(4));
         check_gradients_with(
             &move |g, vars| {
-                let y = layer_on_tape(g, &layer, vars[0], &mask, &vars[1..]);
+                let y = layer_on_tape(g, &layer, vars[0], &edges, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -287,7 +299,7 @@ mod tests {
         // identical node features, attention must be uniform over the
         // neighbourhood, so the output equals the neighbourhood mean.
         let n = 4;
-        let mask = line_graph_mask(n);
+        let edges = line_graph(n);
         let head = GatHead {
             w: Matrix::eye(2),
             a_left: Matrix::zeros(2, 1),
@@ -297,7 +309,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(x0);
         let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = head_on_tape(&mut g, x, &mask, &pv);
+        let y = head_on_tape(&mut g, x, &edges, &pv);
         let yv = g.value(y);
         // Node 0 neighbours {0, 1}: mean of 1 and 2 = 1.5.
         assert!((yv[(0, 0)] - 1.5).abs() < 1e-12);

@@ -19,4 +19,4 @@ pub mod gat;
 pub use ams::{AmsConfig, AmsModel, LinearLayer, ModelSnapshot, QuarterBatch};
 pub use checkpoint::{CheckpointConfig, FitHalted, TrainCheckpoint};
 pub use forward::{Arch, ForwardOps, GatSpec, Tape};
-pub use gat::{GatHead, GatLayer};
+pub use gat::{edge_list, GatHead, GatLayer};

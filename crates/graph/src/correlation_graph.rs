@@ -135,18 +135,6 @@ impl CompanyGraph {
         self.neighbors(i).binary_search(&(j as u32)).is_ok()
     }
 
-    /// Dense 0/1 adjacency mask in row-major order (`n*n` values), the
-    /// shape the masked-softmax attention op consumes.
-    pub fn dense_mask(&self) -> Vec<f64> {
-        let mut mask = vec![0.0; self.n * self.n];
-        for i in 0..self.n {
-            for &j in self.neighbors(i) {
-                mask[i * self.n + j as usize] = 1.0;
-            }
-        }
-        mask
-    }
-
     /// Mean degree across nodes.
     pub fn mean_degree(&self) -> f64 {
         if self.n == 0 {
@@ -186,6 +174,13 @@ impl serde::Deserialize for CompanyGraph {
         }
         if neighbors.iter().any(|&j| j as usize >= n) {
             return Err(serde::Error::custom("CompanyGraph: neighbour id out of range"));
+        }
+        // Rows are sorted and deduplicated by every constructor; graph
+        // attention accumulates over a row in that order.
+        if offsets.windows(2).any(|w| neighbors[w[0]..w[1]].windows(2).any(|p| p[0] >= p[1])) {
+            return Err(serde::Error::custom(
+                "CompanyGraph: neighbours must be strictly ascending within each row",
+            ));
         }
         Ok(CompanyGraph { n, offsets, neighbors })
     }
@@ -251,17 +246,6 @@ mod tests {
         );
         for i in 0..4 {
             assert_eq!(g.degree(i), 3); // everyone else, no self
-        }
-    }
-
-    #[test]
-    fn dense_mask_matches_edges() {
-        let g = CompanyGraph::from_series(&two_cluster_series(), GraphConfig::default());
-        let mask = g.dense_mask();
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(mask[i * 4 + j] != 0.0, g.has_edge(i, j));
-            }
         }
     }
 
@@ -341,6 +325,11 @@ mod tests {
         assert!(serde_json::from_str::<CompanyGraph>(bad).is_err());
         // Decreasing offsets.
         let bad = r#"{"n": 2, "offsets": [0, 1, 0], "neighbors": []}"#;
+        assert!(serde_json::from_str::<CompanyGraph>(bad).is_err());
+        // A row out of order, and a repeated neighbour.
+        let bad = r#"{"n": 2, "offsets": [0, 2, 2], "neighbors": [1, 0]}"#;
+        assert!(serde_json::from_str::<CompanyGraph>(bad).is_err());
+        let bad = r#"{"n": 2, "offsets": [0, 0, 2], "neighbors": [1, 1]}"#;
         assert!(serde_json::from_str::<CompanyGraph>(bad).is_err());
     }
 }

@@ -61,11 +61,6 @@ pub trait Backend<E: Element = f64>: Send + Sync + std::fmt::Debug {
         kernels::axpy(y, x, alpha);
     }
 
-    /// Row-wise masked softmax (see [`kernels::masked_softmax_rows`]).
-    fn masked_softmax_rows(&self, x: &[E], mask: &[E], out: &mut [E], rows: usize, cols: usize) {
-        kernels::masked_softmax_rows(x, mask, out, rows, cols);
-    }
-
     /// `out[r] = dot(a.row(r), b.row(r))`.
     fn rowwise_dot(&self, a: &[E], b: &[E], out: &mut [E], rows: usize, cols: usize) {
         kernels::rowwise_dot(a, b, out, rows, cols);
@@ -164,19 +159,6 @@ impl<E: Element> Backend<E> for Par {
             kernels::matmul_transa_cols(a, g, rows, lo, hi, r, m, n);
         });
     }
-
-    fn masked_softmax_rows(&self, x: &[E], mask: &[E], out: &mut [E], rows: usize, cols: usize) {
-        if rows * cols < PAR_FLOP_THRESHOLD || self.pool.workers() == 1 {
-            return kernels::masked_softmax_rows(x, mask, out, rows, cols);
-        }
-        debug_assert_eq!(out.len(), rows * cols, "masked_softmax_rows: out buffer");
-        let ptr = SendPtr(out.as_mut_ptr());
-        self.for_row_chunks(rows, &|_, lo, hi| {
-            // SAFETY: chunks are disjoint row ranges of `out`.
-            let chunk = unsafe { ptr.rows(lo, hi, cols) };
-            kernels::masked_softmax_rows_range(x, mask, chunk, lo, hi, cols);
-        });
-    }
 }
 
 /// Parsed backend selection, the form configs carry ("seq", "par",
@@ -262,21 +244,6 @@ mod tests {
             for (w, g) in want.iter().zip(&got) {
                 assert_eq!(w.to_bits(), g.to_bits(), "threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn par_softmax_matches_seq() {
-        let (rows, cols) = (160, 120);
-        let x = filled(rows * cols, |i| ((i * 7) % 31) as f64 * 0.3 - 4.0);
-        let mask = filled(rows * cols, |i| f64::from(i % 3 != 0));
-        let mut want = vec![0.0; rows * cols];
-        Seq.masked_softmax_rows(&x, &mask, &mut want, rows, cols);
-        let par = Par::new(4);
-        let mut got = vec![0.0; rows * cols];
-        par.masked_softmax_rows(&x, &mask, &mut got, rows, cols);
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits());
         }
     }
 

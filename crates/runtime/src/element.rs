@@ -11,7 +11,7 @@
 //!
 //! The trait deliberately exposes only the operations the kernels
 //! use: constants, conversion through `f64`, `exp`/`max` for the
-//! masked softmax, and finiteness checks for output validation.
+//! attention softmax, and finiteness checks for output validation.
 //! Keeping the surface minimal is what lets the f64 path stay
 //! bit-identical under the refactor — there is no room for a generic
 //! implementation to pick a different instruction.
@@ -47,7 +47,7 @@ pub trait Element:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Negative infinity — the masked-softmax "excluded" sentinel.
+    /// Negative infinity — the attention softmax's "no logit yet" sentinel.
     const NEG_INFINITY: Self;
     /// Short dtype tag used in artifacts, logs and benchmarks.
     const DTYPE: &'static str;

@@ -11,15 +11,25 @@
 //!    that adds terms in strictly increasing `k` order (blocking over
 //!    rows/`k`-panels is fine, multi-accumulator unrolling is not);
 //! 2. the historical zero-skip (`if a == 0.0 { continue; }`) is kept.
-//!    Besides being a real win on the GAT attention matrices (masked
-//!    softmax rows are mostly exact zeros), it is semantically load
-//!    bearing: skipping is how `0 · ∞ = NaN` never enters an
-//!    accumulator the old code kept clean.
+//!    It is semantically load bearing: skipping is how `0 · ∞ = NaN`
+//!    never enters an accumulator the old code kept clean. It is also
+//!    what makes graph attention bit-exact on an edge list: an
+//!    attention weight that underflows to exactly 0 is skipped on the
+//!    edge walk just as it was in the dense `α·Wh` product, where it
+//!    sat beside the masked zeros.
 //!
 //! Both rules live in exactly one place: [`mac_row`], the shared
-//! multiply-accumulate core. Both matmul variants (`A·B`, `Aᵀ·G`) and
-//! the naive oracle call it, so there is one MAC loop to audit, not
+//! multiply-accumulate core. Both matmul variants (`A·B`, `Aᵀ·G`), the
+//! graph-attention pair ([`graph_attention`] and its backward) and the
+//! naive oracles call it, so there is one MAC loop to audit, not
 //! several near-duplicates.
+//!
+//! Graph attention walks each row's sorted neighbours in an
+//! [`EdgeList`] instead of a dense `n×n` logit matrix: O(E·f) work per
+//! head instead of O(n²·f). Every accumulation chain is the one the
+//! dense masked-softmax chain ran (see [`graph_attention_backward`] for
+//! why the masked cells' terms can be dropped), and
+//! [`graph_attention_dense`] keeps that dense chain as the bit oracle.
 //!
 //! Cache strategy: `B` is row-major, so a `k`-panel of `B` is already
 //! a packed contiguous block — the classic "pack B" step of a blocked
@@ -32,6 +42,7 @@
 //! term) that cannot vectorise, and on the AMS training tape it cost
 //! more than the copy saves. [`matmul_transa`] serves `Aᵀ·G`.
 
+use crate::edges::EdgeList;
 use crate::element::Element;
 
 /// Rows of `A`/`out` processed per cache block.
@@ -169,57 +180,146 @@ pub fn axpy<E: Element>(y: &mut [E], x: &[E], alpha: E) {
     }
 }
 
-/// Row-wise softmax over positions where `mask != 0`; masked positions
-/// output exactly 0 and a fully masked row stays all zero. `out` must
-/// arrive zeroed. Identical structure to the historical tape op,
-/// including the final divide over *all* columns (masked entries hold
-/// `0.0`, and `0.0 / denom == 0.0` for the always-positive denom).
-pub fn masked_softmax_rows<E: Element>(
-    x: &[E],
-    mask: &[E],
-    out: &mut [E],
-    rows: usize,
-    cols: usize,
-) {
-    debug_assert_eq!(x.len(), rows * cols, "masked_softmax_rows: input buffer");
-    debug_assert_eq!(mask.len(), rows * cols, "masked_softmax_rows: mask buffer");
-    debug_assert_eq!(out.len(), rows * cols, "masked_softmax_rows: out buffer");
-    masked_softmax_rows_range(x, mask, out, 0, rows, cols);
+/// One attention head's inputs over an `n`-node [`EdgeList`]: the
+/// score columns `s_l = Wh·a_l` and `s_r = Wh·a_r` (`n` values each),
+/// the transformed features `wh` (`n×f`) and the negative slope of the
+/// logit LeakyReLU.
+#[derive(Debug, Clone, Copy)]
+pub struct Attention<'a, E: Element> {
+    pub edges: &'a EdgeList,
+    pub s_l: &'a [E],
+    pub s_r: &'a [E],
+    pub wh: &'a [E],
+    /// Width of `wh` (and of the output).
+    pub f: usize,
+    pub slope: E,
 }
 
-/// Row-range worker behind [`masked_softmax_rows`].
-pub fn masked_softmax_rows_range<E: Element>(
-    x: &[E],
-    mask: &[E],
-    out: &mut [E],
-    lo: usize,
-    hi: usize,
-    cols: usize,
-) {
-    debug_assert_eq!(out.len(), (hi - lo) * cols, "masked_softmax_rows_range: out buffer");
-    for r in lo..hi {
-        let xrow = &x[r * cols..(r + 1) * cols];
-        let mrow = &mask[r * cols..(r + 1) * cols];
-        let orow = &mut out[(r - lo) * cols..(r - lo + 1) * cols];
+impl<E: Element> Attention<'_, E> {
+    /// Row `j` of `wh`.
+    #[inline(always)]
+    fn wh_row(&self, j: u32) -> &[E] {
+        let j = j as usize;
+        &self.wh[j * self.f..(j + 1) * self.f]
+    }
+
+    /// The pre-activation logit `s_l[i] + s_r[j]` of edge `i → j`.
+    #[inline(always)]
+    fn logit(&self, i: usize, j: u32) -> E {
+        self.s_l[i] + self.s_r[j as usize]
+    }
+
+    fn debug_check(&self, alpha: usize) {
+        let n = self.edges.nodes();
+        debug_assert_eq!(self.s_l.len(), n, "graph_attention: s_l length");
+        debug_assert_eq!(self.s_r.len(), n, "graph_attention: s_r length");
+        debug_assert_eq!(self.wh.len(), n * self.f, "graph_attention: wh buffer");
+        debug_assert_eq!(alpha, self.edges.len(), "graph_attention: alpha length");
+    }
+}
+
+/// `Σ_k g[k]·w[k]` in increasing `k`, skipping `g[k] == 0`: one cell of
+/// the dense `g·Whᵀ` product, built by `mac_row` calls on the rows of
+/// `Whᵀ` with the same zero-skip on the left factor.
+#[inline(always)]
+fn dot_zero_skip<E: Element>(g: &[E], w: &[E]) -> E {
+    let mut acc = E::ZERO;
+    for (&gv, &wv) in g.iter().zip(w) {
+        if gv != E::ZERO {
+            acc += gv * wv;
+        }
+    }
+    acc
+}
+
+/// Graph attention for one head (Eqs. 2–3): per edge the logit
+/// `e_ij = LeakyReLU(s_l[i] + s_r[j])`, per row the softmax
+/// `α_ij = exp(e_ij − max_j e_ij) / Σ_j exp(…)` over the row's edges,
+/// and `out[i] = Σ_j α_ij·wh[j]`. `alpha` (one value per edge, in edge
+/// order) receives α for the backward; `out` (`n×f`) must arrive
+/// zeroed. A node whose row is empty, or whose logits are all −∞ or
+/// NaN, gets α = 0 and a zero output row.
+///
+/// Bit-identical to the dense chain ([`graph_attention_dense`]): the
+/// max, the exponent sum and the aggregation each walk a row's sorted
+/// neighbours, the order the dense softmax walked its unmasked
+/// columns, and the aggregation runs through [`mac_row`] with its
+/// zero-skip, exactly as the dense `α·Wh` product skipped α = 0.
+pub fn graph_attention<E: Element>(at: Attention<'_, E>, alpha: &mut [E], out: &mut [E]) {
+    at.debug_check(alpha.len());
+    debug_assert_eq!(out.len(), at.edges.nodes() * at.f, "graph_attention: out buffer");
+    let f = at.f;
+    for i in 0..at.edges.nodes() {
+        let cols = at.edges.row(i);
+        let lo = at.edges.first_edge(i);
+        let a = &mut alpha[lo..lo + cols.len()];
         let mut maxv = E::NEG_INFINITY;
-        for (xv, mv) in xrow.iter().zip(mrow) {
-            if *mv != E::ZERO {
-                maxv = maxv.max(*xv);
-            }
+        for (av, &j) in a.iter_mut().zip(cols) {
+            let e = at.logit(i, j);
+            *av = if e > E::ZERO { e } else { at.slope * e };
+            maxv = maxv.max(*av);
         }
         if maxv == E::NEG_INFINITY {
-            continue; // fully masked row
+            a.fill(E::ZERO);
+            continue;
         }
         let mut denom = E::ZERO;
-        for ((o, xv), mv) in orow.iter_mut().zip(xrow).zip(mrow) {
-            if *mv != E::ZERO {
-                let e = (*xv - maxv).exp();
-                *o = e;
-                denom += e;
-            }
+        for av in a.iter_mut() {
+            *av = (*av - maxv).exp();
+            denom += *av;
         }
-        for o in orow.iter_mut() {
-            *o /= denom;
+        let orow = &mut out[i * f..(i + 1) * f];
+        for (av, &j) in a.iter_mut().zip(cols) {
+            *av /= denom;
+            mac_row(orow, *av, at.wh_row(j));
+        }
+    }
+}
+
+/// The VJP of [`graph_attention`]: given `g = ∂L/∂out` (`n×f`) and the
+/// forward's `alpha`, accumulate `∂L/∂s_l`, `∂L/∂s_r` (`n` each) and
+/// `∂L/∂wh` (`n×f`) into zeroed buffers.
+///
+/// Per edge, `∂α_ij = g_i·wh_j` (zero-skipping `g`), the softmax VJP
+/// `α_ij·(∂α_ij − Σ_k ∂α_ik·α_ik)` and the LeakyReLU gate give the
+/// logit gradient, which is added to `∂s_l[i]` and `∂s_r[j]`; and
+/// `α_ij·g_i` is added to `∂wh[j]` through [`mac_row`]. Rows are walked
+/// in ascending `i`, so every `∂s_r[j]` and `∂wh[j]` collects its terms
+/// in ascending `i` — the order of the dense `Aᵀ·G` product
+/// ([`matmul_transa`]) and of the outer-sum reduction. The dense chain
+/// also added one ±0 term per masked cell; the gradients accumulate
+/// from +0, so those terms never changed a bit, and leaving them out
+/// keeps the result bit-identical to [`graph_attention_dense_backward`].
+pub fn graph_attention_backward<E: Element>(
+    at: Attention<'_, E>,
+    alpha: &[E],
+    g: &[E],
+    d_sl: &mut [E],
+    d_sr: &mut [E],
+    d_wh: &mut [E],
+) {
+    at.debug_check(alpha.len());
+    let (n, f) = (at.edges.nodes(), at.f);
+    debug_assert_eq!(g.len(), n * f, "graph_attention_backward: g buffer");
+    debug_assert_eq!(d_sl.len(), n, "graph_attention_backward: d_sl length");
+    debug_assert_eq!(d_sr.len(), n, "graph_attention_backward: d_sr length");
+    debug_assert_eq!(d_wh.len(), n * f, "graph_attention_backward: d_wh buffer");
+    for i in 0..n {
+        let cols = at.edges.row(i);
+        let lo = at.edges.first_edge(i);
+        let a = &alpha[lo..lo + cols.len()];
+        let gi = &g[i * f..(i + 1) * f];
+        let mut dot = E::ZERO;
+        for (&av, &j) in a.iter().zip(cols) {
+            dot += dot_zero_skip(gi, at.wh_row(j)) * av;
+        }
+        for (&av, &j) in a.iter().zip(cols) {
+            let gx = av * (dot_zero_skip(gi, at.wh_row(j)) - dot);
+            let ge = if at.logit(i, j) > E::ZERO { gx } else { at.slope * gx };
+            d_sl[i] += ge;
+            d_sr[j as usize] += ge;
+            let j = j as usize;
+            mac_row(&mut d_wh[j * f..(j + 1) * f], av, gi);
         }
     }
 }
@@ -256,6 +356,92 @@ pub fn matmul_naive<E: Element>(a: &[E], b: &[E], out: &mut [E], m: usize, k: us
             mac_row(out_row, av, brow);
         }
     }
+}
+
+/// Reference dense attention: the chain the edge-list kernels replaced
+/// — outer-sum logits, LeakyReLU, a row softmax over the dense `n×n`
+/// mask, then the `α·Wh` product — written as plain loops. Kept as the
+/// equivalence oracle of [`graph_attention`], as [`matmul_naive`] is of
+/// [`matmul`]. `alpha` receives α as a dense `n×n` matrix (masked cells
+/// exactly 0); `alpha` and `out` must arrive zeroed.
+pub fn graph_attention_dense<E: Element>(at: Attention<'_, E>, alpha: &mut [E], out: &mut [E]) {
+    let (n, f) = (at.edges.nodes(), at.f);
+    let mask = at.edges.to_mask::<E>();
+    let mut logits = vec![E::ZERO; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            let e = at.s_l[i] + at.s_r[j];
+            logits[i * n + j] = if e > E::ZERO { e } else { at.slope * e };
+        }
+    }
+    for r in 0..n {
+        let (x, m) = (&logits[r * n..(r + 1) * n], &mask[r * n..(r + 1) * n]);
+        let row = &mut alpha[r * n..(r + 1) * n];
+        let mut maxv = E::NEG_INFINITY;
+        for (&xv, &mv) in x.iter().zip(m) {
+            if mv != E::ZERO {
+                maxv = maxv.max(xv);
+            }
+        }
+        if maxv == E::NEG_INFINITY {
+            continue; // fully masked row
+        }
+        let mut denom = E::ZERO;
+        for ((o, &xv), &mv) in row.iter_mut().zip(x).zip(m) {
+            if mv != E::ZERO {
+                *o = (xv - maxv).exp();
+                denom += *o;
+            }
+        }
+        for o in row.iter_mut() {
+            *o /= denom;
+        }
+    }
+    matmul_naive(alpha, at.wh, out, n, n, f);
+}
+
+/// The VJP of [`graph_attention_dense`], the dense chain's backward as
+/// plain loops: `∂α = g·Whᵀ`, the masked-softmax VJP, the LeakyReLU
+/// gate, the outer-sum row/column reductions into `∂s_l`/`∂s_r`, and
+/// `∂Wh = αᵀ·g`. `alpha` is the dense α the forward returned; the three
+/// outputs must arrive zeroed.
+pub fn graph_attention_dense_backward<E: Element>(
+    at: Attention<'_, E>,
+    alpha: &[E],
+    g: &[E],
+    d_sl: &mut [E],
+    d_sr: &mut [E],
+    d_wh: &mut [E],
+) {
+    let (n, f) = (at.edges.nodes(), at.f);
+    let mask = at.edges.to_mask::<E>();
+    let mut wht = vec![E::ZERO; n * f];
+    transpose(at.wh, &mut wht, n, f);
+    let mut d_alpha = vec![E::ZERO; n * n];
+    matmul_naive(g, &wht, &mut d_alpha, n, f, n);
+    let mut d_logit = vec![E::ZERO; n * n];
+    for r in 0..n {
+        let mut dot = E::ZERO;
+        for c in 0..n {
+            dot += d_alpha[r * n + c] * alpha[r * n + c];
+        }
+        for c in 0..n {
+            let gx = if mask[r * n + c] != E::ZERO {
+                alpha[r * n + c] * (d_alpha[r * n + c] - dot)
+            } else {
+                E::ZERO
+            };
+            let e = at.s_l[r] + at.s_r[c];
+            d_logit[r * n + c] = if e > E::ZERO { gx } else { at.slope * gx };
+        }
+    }
+    for i in 0..n {
+        for j in 0..n {
+            d_sl[i] += d_logit[i * n + j];
+            d_sr[j] += d_logit[i * n + j];
+        }
+    }
+    matmul_transa(alpha, g, d_wh, n, n, f);
 }
 
 #[cfg(test)]
@@ -349,16 +535,70 @@ mod tests {
         }
     }
 
+    /// A 3-node graph: node 0 sees {0, 2}, node 1 nothing, node 2
+    /// {1, 2}; `wh` is 3×2.
+    fn small_attention(edges: &EdgeList) -> Attention<'_, f64> {
+        const S_L: [f64; 3] = [0.5, -1.0, 2.0];
+        const S_R: [f64; 3] = [1.0, 0.25, -3.0];
+        const WH: [f64; 6] = [1.0, -2.0, 0.5, 4.0, -1.5, 3.0];
+        Attention { edges, s_l: &S_L, s_r: &S_R, wh: &WH, f: 2, slope: 0.2 }
+    }
+
     #[test]
-    fn softmax_rows_and_fully_masked_row() {
-        let x: [f64; 6] = [1.0, 2.0, 3.0, 0.0, 0.0, 0.0];
-        let mask = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0];
+    fn attention_softmaxes_over_each_rows_edges() {
+        let edges = EdgeList::from_mask(&[1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 3);
+        let at = small_attention(&edges);
+        let mut alpha = [0.0; 4];
         let mut out = [0.0; 6];
-        masked_softmax_rows(&x, &mask, &mut out, 2, 3);
-        assert_eq!(out[1], 0.0);
-        assert!((out[0] + out[2] - 1.0).abs() < 1e-12);
-        assert!(out[2] > out[0]);
-        assert_eq!(&out[3..], &[0.0, 0.0, 0.0]);
+        graph_attention(at, &mut alpha, &mut out);
+        assert!((alpha[0] + alpha[1] - 1.0).abs() < 1e-12);
+        assert!((alpha[2] + alpha[3] - 1.0).abs() < 1e-12);
+        // Logits 1.5 vs LeakyReLU(−2.5) = −0.5: the larger wins.
+        assert!(alpha[0] > alpha[1]);
+        // The isolated node attends to nothing and outputs zeros.
+        assert_eq!(&out[2..4], &[0.0, 0.0]);
+        let want0 = alpha[0] * 1.0 + alpha[1] * -1.5;
+        assert!((out[0] - want0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn attention_matches_the_dense_oracle_bitwise() {
+        let edges = EdgeList::from_mask(&[1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 3);
+        let at = small_attention(&edges);
+        let (mut alpha, mut out) = ([0.0; 4], [0.0; 6]);
+        graph_attention(at, &mut alpha, &mut out);
+        let (mut dense_alpha, mut dense_out) = ([0.0; 9], [0.0; 6]);
+        graph_attention_dense(at, &mut dense_alpha, &mut dense_out);
+        assert_eq!(out.map(f64::to_bits), dense_out.map(f64::to_bits));
+        let g = [0.3, -0.7, 0.0, 1.1, 0.0, 0.0];
+        let mut sparse = ([0.0; 3], [0.0; 3], [0.0; 6]);
+        graph_attention_backward(at, &alpha, &g, &mut sparse.0, &mut sparse.1, &mut sparse.2);
+        let mut dense = ([0.0; 3], [0.0; 3], [0.0; 6]);
+        graph_attention_dense_backward(
+            at,
+            &dense_alpha,
+            &g,
+            &mut dense.0,
+            &mut dense.1,
+            &mut dense.2,
+        );
+        assert_eq!(sparse.0.map(f64::to_bits), dense.0.map(f64::to_bits));
+        assert_eq!(sparse.1.map(f64::to_bits), dense.1.map(f64::to_bits));
+        assert_eq!(sparse.2.map(f64::to_bits), dense.2.map(f64::to_bits));
+    }
+
+    #[test]
+    fn attention_zero_skip_keeps_a_non_neighbours_inf_out() {
+        // wh row 1 is infinite but node 0 does not attend to node 1:
+        // the aggregation never reads it, as the dense α·Wh product
+        // skipped the masked α = 0.
+        let edges = EdgeList::from_mask(&[1.0, 0.0, 0.0, 1.0], 2);
+        let wh = [2.0, f64::INFINITY];
+        let at =
+            Attention { edges: &edges, s_l: &[0.0; 2], s_r: &[0.0; 2], wh: &wh, f: 1, slope: 0.2 };
+        let (mut alpha, mut out) = ([0.0; 2], [0.0; 2]);
+        graph_attention(at, &mut alpha, &mut out);
+        assert_eq!(out, [2.0, f64::INFINITY]);
     }
 
     #[test]

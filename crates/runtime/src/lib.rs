@@ -6,8 +6,8 @@
 //! 1. **Kernels** ([`kernels`]): cache-blocked row-major routines,
 //!    generic over the scalar ([`Element`]: `f64` or `f32`) — blocked
 //!    matmul, the transpose-fused `Aᵀ·G` product and the transpose the
-//!    tape's backward pass needs, row-broadcast bias addition, `axpy`, row-wise
-//!    masked softmax. The `f64`
+//!    tape's backward pass needs, row-broadcast bias addition, `axpy`, and
+//!    graph attention over a CSR [`EdgeList`] with its backward. The `f64`
 //!    instantiation preserves the exact accumulation order of the
 //!    historical `Matrix` loops, so refactoring onto the runtime
 //!    changes no result bit.
@@ -29,6 +29,7 @@
 //! no-panic-in-inference rule without suppressions.
 
 pub mod backend;
+pub mod edges;
 pub mod element;
 pub mod kernels;
 pub mod pool;
@@ -36,6 +37,7 @@ pub mod simd;
 pub mod workspace;
 
 pub use backend::{seq, Backend, BackendChoice, Par, Seq};
+pub use edges::EdgeList;
 pub use element::Element;
 pub use pool::{partition, ThreadPool};
 pub use simd::SimdSeq;
@@ -56,6 +58,13 @@ pub enum RuntimeError {
     /// A backend spec string that parses as none of `seq`, `par`,
     /// `par:N` with `N ≥ 1`, or `simd`.
     BadBackendSpec(String),
+    /// An adjacency row that cannot be an [`EdgeList`] row.
+    BadEdges {
+        /// The offending node.
+        row: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -67,6 +76,7 @@ impl std::fmt::Display for RuntimeError {
             Self::BadBackendSpec(spec) => {
                 write!(f, "invalid backend spec {spec:?} (expected seq, par, par:N, or simd)")
             }
+            Self::BadEdges { row, reason } => write!(f, "edge list: row {row} {reason}"),
         }
     }
 }

@@ -29,7 +29,9 @@
 //!
 //! Only `matmul` is overridden: it dominates the forward pass. The remaining `Backend`
 //! methods fall back to the deterministic generic kernels, so e.g. the
-//! masked softmax stays bit-identical to `Seq` even on this backend.
+//! `Aᵀ·G` product stays bit-identical to `Seq` even on this backend
+//! (graph attention is not a `Backend` method at all: every backend
+//! runs the one edge-list kernel pair).
 
 use crate::backend::Backend;
 use crate::element::Element;

@@ -9,9 +9,10 @@
 //! an artifact written by an incompatible build instead of
 //! mis-scoring it.
 
-use ams_core::{AmsModel, ModelSnapshot};
+use ams_core::{edge_list, AmsModel, ModelSnapshot};
 use ams_data::Standardizer;
 use ams_graph::CompanyGraph;
+use ams_tensor::runtime::EdgeList;
 use ams_tensor::Matrix;
 
 /// Current artifact layout version. Bump on any breaking change to
@@ -252,7 +253,16 @@ impl ModelArtifact {
             }
         }
         match &self.snapshot.mask {
-            Some(mask) if mask.rows() == n && mask.cols() == n => {}
+            Some(mask) if mask.rows() == n && mask.cols() == n => {
+                // The tape walks the mask's edges and the engine the
+                // graph's: they must be one graph, or the two would
+                // serve different models without a word.
+                if EdgeList::from_mask(mask.as_slice(), n) != edge_list(&self.graph) {
+                    return Err(
+                        "artifact: snapshot mask and graph disagree on the edges".to_string()
+                    );
+                }
+            }
             Some(mask) => {
                 return Err(format!(
                     "artifact: mask is {}x{} but the graph has {n} nodes",
@@ -343,6 +353,41 @@ mod tests {
         bad.slave_weights = Matrix::zeros(1, bad.slave_weights.cols());
         let err = ModelArtifact::from_json(&bad.to_json()).unwrap_err();
         assert!(err.contains("slave_weights"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_mask_that_disagrees_with_the_graph() {
+        // Hand edits that keep every shape right: the tape would walk
+        // the mask's edges and the engine the graph's.
+        let fx = trained_fixture(35);
+        let n = fx.artifact.num_companies();
+        let missing = (0..n).find(|&j| !fx.artifact.graph.has_edge(0, j)).expect("a non-edge");
+
+        let mut added = fx.artifact.clone();
+        added.snapshot.mask.as_mut().expect("fitted mask")[(0, missing)] = 1.0;
+        let err = ModelArtifact::from_json(&added.to_json()).unwrap_err();
+        assert!(err.contains("mask and graph disagree"), "{err}");
+
+        let mut dropped = fx.artifact.clone();
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|i| {
+                let row = fx.artifact.graph.neighbors(i);
+                if i == 0 {
+                    row[1..].to_vec()
+                } else {
+                    row.to_vec()
+                }
+            })
+            .collect();
+        dropped.graph = CompanyGraph::from_adjacency(rows);
+        let err = ModelArtifact::from_json(&dropped.to_json()).unwrap_err();
+        assert!(err.contains("mask and graph disagree"), "{err}");
+
+        // The same edges with a different nonzero weight are one graph.
+        let mut reweighted = fx.artifact.clone();
+        let mask = reweighted.snapshot.mask.as_mut().expect("fitted mask");
+        *mask = mask.map(|m| m * 2.0);
+        assert!(ModelArtifact::from_json(&reweighted.to_json()).is_ok());
     }
 
     #[test]

@@ -509,35 +509,30 @@ impl<'a, E: Element> ForwardOps for Executor<'a, E> {
         self.map(x, |e| e.max(E::ZERO))
     }
 
-    fn leaky_relu(&mut self, x: Buf<'a, E>, slope: E) -> Buf<'a, E> {
-        self.map(x, |e| if e > E::ZERO { e } else { slope * e })
-    }
-
     fn dropout(&mut self, x: Buf<'a, E>) -> Buf<'a, E> {
         x
     }
 
-    fn outer_sum(&mut self, u: Buf<'a, E>, v: Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
-        let (uv, vv) = (u.view(), v.view());
-        check(uv.cols == 1 && vv.cols == 1, "outer_sum", uv, vv)?;
-        let mut out = self.blank(uv.rows, vv.rows);
-        let data = out.as_mut_slice();
-        for (i, &ui) in uv.data.iter().enumerate() {
-            for (j, &vj) in vv.data.iter().enumerate() {
-                data[i * vv.rows + j] = ui + vj;
-            }
-        }
-        self.free(u);
-        self.free(v);
-        Ok(Buf::Pooled(out))
-    }
-
-    fn masked_softmax_rows(&mut self, x: Buf<'a, E>) -> Result<Buf<'a, E>, PredictError> {
-        let (xv, mask) = (x.view(), self.plan.mask.view());
-        check((xv.rows, xv.cols) == (mask.rows, mask.cols), "masked_softmax_rows", xv, mask)?;
-        let mut out = self.blank(xv.rows, xv.cols);
-        self.backend.masked_softmax_rows(xv.data, mask.data, out.as_mut_slice(), xv.rows, xv.cols);
-        self.free(x);
+    fn graph_attention(
+        &mut self,
+        s_l: Buf<'a, E>,
+        s_r: Buf<'a, E>,
+        wh: &Buf<'a, E>,
+        slope: E,
+    ) -> Result<Buf<'a, E>, PredictError> {
+        let (sl, sr, w) = (s_l.view(), s_r.view(), wh.view());
+        let edges = &self.plan.edges;
+        let n = edges.nodes();
+        check((sl.rows, sl.cols, sr.rows, sr.cols) == (n, 1, n, 1), "graph_attention", sl, sr)?;
+        check(w.rows == n, "graph_attention", sl, w)?;
+        let mut alpha = self.ws.take(edges.len());
+        let mut out = self.blank(n, w.cols);
+        let at =
+            kernels::Attention { edges, s_l: sl.data, s_r: sr.data, wh: w.data, f: w.cols, slope };
+        kernels::graph_attention(at, &mut alpha, out.as_mut_slice());
+        self.ws.give(alpha);
+        self.free(s_l);
+        self.free(s_r);
         Ok(Buf::Pooled(out))
     }
 

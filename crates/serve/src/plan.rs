@@ -6,7 +6,7 @@
 //! A plan is the forward's shape ([`Arch`]: layer counts, heads,
 //! slopes, γ) plus every weight in `AmsModel::param_list` order — the
 //! order the one generic `AmsModel::forward` reads its parameters in —
-//! and the dense attention mask and slave-column selection. The plan
+//! the company graph's edge list and the slave-column selection. The plan
 //! for `E = f64` holds exact copies of the snapshot (narrowing is the
 //! identity), so the f64 path stays bit-for-bit equal to training-side
 //! `AmsModel::predict`. The plan for `E = f32` is the quantized model:
@@ -22,8 +22,8 @@
 //! the input could justify.
 
 use crate::artifact::ModelArtifact;
-use ams_core::{Arch, GatHead, GatSpec};
-use ams_tensor::runtime::Element;
+use ams_core::{edge_list, Arch, GatHead, GatSpec};
+use ams_tensor::runtime::{EdgeList, Element};
 use ams_tensor::Matrix;
 
 /// Header magic for serialized f32 plans.
@@ -130,8 +130,9 @@ pub struct ForwardPlan<E: Element> {
     /// The trained weights in `AmsModel::param_list` order: node
     /// transform, GAT heads, generator, β_c.
     pub weights: Vec<Plane<E>>,
-    /// Dense adjacency mask (`n×n`).
-    pub mask: Plane<E>,
+    /// The company graph's edges, which graph attention walks; derived
+    /// once, at load time (serialized plans still carry the dense mask).
+    pub edges: EdgeList,
     /// 0/1 projection from full feature space to slave columns
     /// (`d×m`), `None` when the slave model uses every column.
     pub selection: Option<Plane<E>>,
@@ -142,17 +143,16 @@ impl<E: Element> ForwardPlan<E> {
     /// exact copy; for `E = f32` it is the quantization step.
     pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, String> {
         let snap = &artifact.snapshot;
-        let mask = snap
-            .mask
-            .as_ref()
-            .ok_or_else(|| "artifact has no adjacency mask (corrupt snapshot)".to_string())?;
+        if snap.mask.is_none() {
+            return Err("artifact has no adjacency mask (corrupt snapshot)".to_string());
+        }
         let d = artifact.feature_width();
         Ok(Self {
             width: d,
             companies: artifact.num_companies(),
             arch: Arch::new(snap, E::from_f64),
             weights: snap.params().into_iter().map(|(_, w, _)| Plane::from_matrix(w)).collect(),
-            mask: Plane::from_matrix(mask),
+            edges: edge_list(&artifact.graph),
             selection: snap.config.slave_selection(d).as_ref().map(Plane::from_matrix),
         })
     }
@@ -206,7 +206,9 @@ impl ForwardPlan<f32> {
                 PlaneRef { rows: bc.cols(), cols: bc.rows(), data: bc.as_slice() },
             );
         }
-        write_plane(&mut out, self.mask.view());
+        let n = self.companies;
+        let mask = self.edges.to_mask::<f32>();
+        write_plane(&mut out, PlaneRef { rows: n, cols: n, data: &mask });
         if let Some(sel) = &self.selection {
             write_plane(&mut out, sel.view());
         }
@@ -273,8 +275,14 @@ impl ForwardPlan<f32> {
                 mask.cols()
             ));
         }
+        // Only 0/1 masks: anything else would not survive the round trip
+        // through the edge list.
+        if mask.as_slice().iter().any(|&m| m != 0.0 && m != 1.0) {
+            return Err("plan32: mask holds a value other than 0 or 1".to_string());
+        }
+        let edges = EdgeList::from_mask(mask.as_slice(), companies);
         let arch = Arch { nt, gat, residual, gen, gamma, gamma_c };
-        Ok(Self { width, companies, arch, weights, mask, selection })
+        Ok(Self { width, companies, arch, weights, edges, selection })
     }
 }
 
@@ -382,7 +390,7 @@ mod tests {
         assert_eq!(back.companies, plan.companies);
         assert_eq!(back.arch, plan.arch);
         assert_eq!(back.weights, plan.weights);
-        assert_eq!(back.mask, plan.mask);
+        assert_eq!(back.edges, plan.edges);
         assert_eq!(back.selection, plan.selection);
     }
 
@@ -408,6 +416,20 @@ mod tests {
         assert!(ForwardPlan::from_bytes(&bytes).unwrap_err().contains("version"));
         bytes[0] ^= 0xFF;
         assert!(ForwardPlan::from_bytes(&bytes).unwrap_err().contains("magic"));
+    }
+
+    #[test]
+    fn a_mask_that_is_not_zero_one_is_rejected() {
+        // The mask plane is the graph's edge list on disk: its values
+        // must be exactly 0 or 1 to decode into edges and back.
+        let fx = trained_fixture(76);
+        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let n = plan.companies;
+        let selection = plan.selection.as_ref().map_or(0, |s| 8 + 4 * s.len());
+        let mut bytes = plan.to_bytes();
+        let first_cell = bytes.len() - selection - 4 * n * n;
+        bytes[first_cell..first_cell + 4].copy_from_slice(&0.5f32.to_le_bytes());
+        assert!(ForwardPlan::from_bytes(&bytes).unwrap_err().contains("other than 0 or 1"));
     }
 
     #[test]

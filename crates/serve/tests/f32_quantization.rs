@@ -106,7 +106,7 @@ fn decoded_plan_predicts_identically_to_in_memory_plan() {
         let (a, b) = (a.as_slice().iter(), b.as_slice().iter());
         assert!(a.map(|v| v.to_bits()).eq(b.map(|v| v.to_bits())), "weight {i} bits");
     }
-    assert_eq!(decoded.mask.as_slice(), in_memory.mask.as_slice());
+    assert_eq!(decoded.edges, in_memory.edges);
     assert_eq!(decoded.selection, in_memory.selection);
 }
 

@@ -124,6 +124,7 @@ pub fn check_gradients_with(f: ScalarFn, params: &[Matrix], tol: f64, backend: &
 mod tests {
     use super::*;
     use crate::init::{dropout_mask, he_uniform, xavier_uniform};
+    use ams_runtime::EdgeList;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -202,22 +203,30 @@ mod tests {
         );
     }
 
+    /// Path 0–1–2–3 with self-loops, plus node 4 with no edges at all.
+    fn path_with_isolated_node() -> Arc<EdgeList> {
+        let rows: [&[u32]; 5] = [&[0, 1], &[0, 1, 2], &[1, 2, 3], &[2, 3], &[]];
+        Arc::new(EdgeList::from_rows(rows).expect("valid rows"))
+    }
+
     #[test]
-    fn check_masked_softmax() {
+    fn check_graph_attention() {
+        // Every input of the op at once: both score columns (so the
+        // LeakyReLU gate, the softmax VJP and the outer-sum reductions
+        // are all exercised) and the aggregated features.
         let mut r = rng();
-        let params = vec![xavier_uniform(4, 4, &mut r)];
-        let mask = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0, 1.0],
-            &[0.0, 1.0, 1.0, 0.0],
-            &[1.0, 0.0, 0.0, 0.0],
-            &[1.0, 1.0, 1.0, 1.0],
-        ]);
-        let weights = xavier_uniform(4, 4, &mut r);
+        let params = vec![
+            xavier_uniform(5, 1, &mut r), // s_l
+            xavier_uniform(5, 1, &mut r), // s_r
+            xavier_uniform(5, 3, &mut r), // wh
+        ];
+        let edges = path_with_isolated_node();
+        let weights = xavier_uniform(5, 3, &mut r);
         check_gradients(
             &move |g, vars| {
-                let sm = g.masked_softmax_rows(vars[0], &mask);
+                let h = g.graph_attention(vars[0], vars[1], vars[2], &edges, 0.2);
                 let w = g.input(weights.clone());
-                let y = g.mul(sm, w);
+                let y = g.mul(h, w);
                 g.sum_all(y)
             },
             &params,
@@ -226,28 +235,22 @@ mod tests {
     }
 
     #[test]
-    fn check_outer_sum_attention_pattern() {
-        // The exact computation pattern GAT uses for logits.
+    fn check_graph_attention_head_pattern() {
+        // The exact head GAT records: the scores are projections of the
+        // same features the op aggregates, so `wh` collects gradient
+        // from all three of its uses.
         let mut r = rng();
         let params = vec![
-            xavier_uniform(4, 3, &mut r), // node features
+            xavier_uniform(5, 3, &mut r), // node features
             xavier_uniform(3, 1, &mut r), // a_left
             xavier_uniform(3, 1, &mut r), // a_right
         ];
-        let mask = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0, 0.0],
-            &[1.0, 1.0, 1.0, 0.0],
-            &[0.0, 1.0, 1.0, 1.0],
-            &[0.0, 0.0, 1.0, 1.0],
-        ]);
+        let edges = path_with_isolated_node();
         check_gradients(
             &move |g, vars| {
                 let sl = g.matmul(vars[0], vars[1]);
                 let sr = g.matmul(vars[0], vars[2]);
-                let e = g.outer_sum(sl, sr);
-                let e = g.leaky_relu(e, 0.2);
-                let a = g.masked_softmax_rows(e, &mask);
-                let h = g.matmul(a, vars[0]);
+                let h = g.graph_attention(sl, sr, vars[0], &edges, 0.2);
                 g.sq_frobenius(h)
             },
             &params,
@@ -338,7 +341,7 @@ mod tests {
     #[test]
     fn check_gat_composite_end_to_end() {
         // The full attention-layer op mix in one scalar objective:
-        // outer_sum → leaky_relu → masked softmax → aggregation,
+        // score projections → graph attention over the edge list,
         // concatenated across two heads with eval-mode (identity)
         // dropout in between. Each op has a unit check above; this
         // verifies the *composition* — the configuration the AMS
@@ -353,12 +356,8 @@ mod tests {
             xavier_uniform(2, 1, &mut r), // head-2 a_left
             xavier_uniform(2, 1, &mut r), // head-2 a_right
         ];
-        let mask = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0, 0.0],
-            &[1.0, 1.0, 1.0, 0.0],
-            &[0.0, 1.0, 1.0, 1.0],
-            &[0.0, 0.0, 1.0, 1.0],
-        ]);
+        let rows: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[1, 2, 3], &[2, 3]];
+        let edges = Arc::new(EdgeList::from_rows(rows).expect("valid rows"));
         // Eval-mode dropout: rate 0 ⇒ an all-ones mask, so the op is
         // recorded on the tape but must behave as the identity.
         let eval_mask = dropout_mask(4, 2, 0.0, &mut r);
@@ -370,10 +369,7 @@ mod tests {
                     let wx = g.matmul(vars[0], vars[1 + 3 * h]);
                     let sl = g.matmul(wx, vars[2 + 3 * h]);
                     let sr = g.matmul(wx, vars[3 + 3 * h]);
-                    let e = g.outer_sum(sl, sr);
-                    let e = g.leaky_relu(e, 0.2);
-                    let attn = g.masked_softmax_rows(e, &mask);
-                    let agg = g.matmul(attn, wx);
+                    let agg = g.graph_attention(sl, sr, wx, &edges, 0.2);
                     let agg = g.dropout(agg, &eval_mask);
                     heads.push(g.relu(agg));
                 }

@@ -19,10 +19,9 @@
 //! assert_eq!(grads.get(w).rows(), 2);
 //! ```
 
-use std::rc::Rc;
 use std::sync::Arc;
 
-use ams_runtime::{kernels, Backend, Workspace};
+use ams_runtime::{kernels, Backend, EdgeList, Workspace};
 
 use crate::matrix::Matrix;
 use crate::plan::{PlanNode, PlanOp};
@@ -40,7 +39,7 @@ impl Var {
 
 /// Operations recorded on the tape. Each variant stores the input
 /// handles plus whatever constant data its VJP needs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Leaf: an input or parameter.
     Leaf,
@@ -66,12 +65,19 @@ enum Op {
     Transpose(Var),
     /// `(n×d) + (1×d)` bias-style broadcast over rows.
     AddRowBroadcast(Var, Var),
-    /// `out[i][j] = u[i] + v[j]` from column vectors `u (n×1)`, `v (m×1)`.
-    /// This is the pairwise attention-logit construction of GAT.
-    OuterSum(Var, Var),
-    /// Row-wise softmax restricted to positions where `mask != 0`;
-    /// masked positions output exactly 0.
-    MaskedSoftmaxRows(Var, Rc<Matrix>),
+    /// One GAT head's attention over a graph's edges: `LeakyReLU(s_l[i]
+    /// + s_r[j])` logits, a softmax over each row's edges and the
+    /// `Σ_j α_ij·wh[j]` aggregation. `alpha` holds the forward's
+    /// per-edge weights for the VJP; its buffer came from the graph's
+    /// [`Workspace`] and goes back on [`Graph::reset`].
+    GraphAttention {
+        s_l: Var,
+        s_r: Var,
+        wh: Var,
+        edges: Arc<EdgeList>,
+        slope: f64,
+        alpha: Vec<f64>,
+    },
     /// Horizontal concatenation of equal-row-count inputs.
     ConcatCols(Vec<Var>),
     SumAll(Var),
@@ -82,9 +88,9 @@ enum Op {
     /// slave-LR at once: `ÛR_i = X_iᵀ β_v(X_i)` (Eq. 6).
     RowwiseDot(Var, Var),
     /// Select rows by index (repetition allowed); gradient scatter-adds.
-    SelectRows(Var, Rc<Vec<usize>>),
+    SelectRows(Var, Vec<usize>),
     /// Element-wise multiply by a fixed (inverted-dropout) mask.
-    Dropout(Var, Rc<Matrix>),
+    Dropout(Var, Matrix),
     /// Squared Frobenius norm → 1×1 (the `‖·‖²` regularizers of Eq. 11).
     SqFrobenius(Var),
 }
@@ -124,9 +130,9 @@ impl Gradients {
 
 /// A define-by-run computation tape.
 ///
-/// Heavy forward ops (matmul, bias add, masked softmax, row-wise dot)
-/// and the matmul backward pass execute on the graph's [`Backend`]
-/// with buffers from an internal [`Workspace`]. The arena is balanced:
+/// Heavy forward ops (matmul, bias add, graph attention, row-wise dot)
+/// take their buffers from an internal [`Workspace`]; the matmuls, in
+/// both passes, execute on the graph's [`Backend`]. The arena is balanced:
 /// [`Graph::reset`] returns exactly the buffers the workspace issued,
 /// so across a reset/re-run loop (the training epoch loop) its free
 /// list keeps a fixed length and those ops stop allocating once warm.
@@ -173,6 +179,9 @@ impl Graph {
         for node in self.nodes.drain(..) {
             if node.pooled {
                 self.ws.give(node.value.into_vec());
+            }
+            if let Op::GraphAttention { alpha, .. } = node.op {
+                self.ws.give(alpha);
             }
         }
     }
@@ -354,37 +363,52 @@ impl Graph {
         self.push_pooled(Op::AddRowBroadcast(x, bias), out)
     }
 
-    /// `out[i][j] = u[i] + v[j]` from column vectors.
-    pub fn outer_sum(&mut self, u: Var, v: Var) -> Var {
-        let uv = self.value(u);
-        let vv = self.value(v);
-        assert_eq!(uv.cols(), 1, "outer_sum: u must be a column vector");
-        assert_eq!(vv.cols(), 1, "outer_sum: v must be a column vector");
-        let mut out = Matrix::zeros(uv.rows(), vv.rows());
-        for i in 0..uv.rows() {
-            for j in 0..vv.rows() {
-                out[(i, j)] = uv[(i, 0)] + vv[(j, 0)];
-            }
-        }
-        self.push(Op::OuterSum(u, v), out)
+    /// One GAT head's attention over `edges` (Eqs. 2–3): `s_l`, `s_r`
+    /// are the `n×1` score columns `Wh·a_l`, `Wh·a_r` and `wh` the `n×f`
+    /// transformed features; returns the `n×f` aggregation
+    /// `Σ_j α_ij·wh[j]`, `α` the softmax of `LeakyReLU(s_l[i] + s_r[j])`
+    /// over row `i`'s edges. A node with no edges attends to nothing
+    /// and outputs zeros. One node on the tape, bit-identical to the
+    /// dense outer-sum → LeakyReLU → masked-softmax → `α·Wh` chain (see
+    /// [`kernels::graph_attention`]).
+    pub fn graph_attention(
+        &mut self,
+        s_l: Var,
+        s_r: Var,
+        wh: Var,
+        edges: &Arc<EdgeList>,
+        slope: f64,
+    ) -> Var {
+        let (n, f) = (edges.nodes(), self.nodes[wh.0].value.cols());
+        assert_eq!(self.value(wh).rows(), n, "graph_attention: wh rows != graph nodes");
+        assert_eq!(self.value(s_l).shape(), (n, 1), "graph_attention: s_l must be n×1");
+        assert_eq!(self.value(s_r).shape(), (n, 1), "graph_attention: s_r must be n×1");
+        let mut alpha = self.ws.take(edges.len());
+        let mut data = self.ws.take(n * f);
+        kernels::graph_attention(self.attention(s_l, s_r, wh, edges, slope), &mut alpha, &mut data);
+        let out = Matrix::from_vec(n, f, data);
+        let edges = Arc::clone(edges);
+        self.push_pooled(Op::GraphAttention { s_l, s_r, wh, edges, slope, alpha }, out)
     }
 
-    /// Row-wise softmax over the positions where `mask != 0`; masked
-    /// positions are exactly zero in the output. A row whose mask is all
-    /// zero stays all zero (an isolated graph node attends to nothing).
-    pub fn masked_softmax_rows(&mut self, x: Var, mask: &Matrix) -> Var {
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        assert_eq!((rows, cols), mask.shape(), "masked_softmax_rows: mask shape mismatch");
-        let mut data = self.ws.take(rows * cols);
-        self.backend.masked_softmax_rows(
-            self.nodes[x.0].value.as_slice(),
-            mask.as_slice(),
-            &mut data,
-            rows,
-            cols,
-        );
-        let out = Matrix::from_vec(rows, cols, data);
-        self.push_pooled(Op::MaskedSoftmaxRows(x, Rc::new(mask.clone())), out)
+    /// The kernel inputs of a graph-attention node.
+    fn attention<'a>(
+        &'a self,
+        s_l: Var,
+        s_r: Var,
+        wh: Var,
+        edges: &'a EdgeList,
+        slope: f64,
+    ) -> kernels::Attention<'a, f64> {
+        let wh = &self.nodes[wh.0].value;
+        kernels::Attention {
+            edges,
+            s_l: self.nodes[s_l.0].value.as_slice(),
+            s_r: self.nodes[s_r.0].value.as_slice(),
+            wh: wh.as_slice(),
+            f: wh.cols(),
+            slope,
+        }
     }
 
     /// Horizontal concatenation (multi-head attention outputs, Eq. 3).
@@ -437,7 +461,7 @@ impl Graph {
     /// Select rows by index (repetition allowed).
     pub fn select_rows(&mut self, x: Var, ids: &[usize]) -> Var {
         let v = self.value(x).select_rows(ids);
-        self.push(Op::SelectRows(x, Rc::new(ids.to_vec())), v)
+        self.push(Op::SelectRows(x, ids.to_vec()), v)
     }
 
     /// Multiply by a fixed mask. Callers pass an inverted-dropout mask
@@ -445,7 +469,7 @@ impl Graph {
     /// [`crate::init::dropout_mask`].
     pub fn dropout(&mut self, x: Var, mask: &Matrix) -> Var {
         let v = self.value(x).hadamard(mask);
-        self.push(Op::Dropout(x, Rc::new(mask.clone())), v)
+        self.push(Op::Dropout(x, mask.clone()), v)
     }
 
     /// Squared Frobenius norm → 1×1.
@@ -470,24 +494,26 @@ impl Graph {
             };
             // Re-insert so callers can read intermediate gradients too.
             grads[idx] = Some(g.clone());
-            let op = self.nodes[idx].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::Add(a, b) => {
+            // The op is moved out for the duration of its VJP (the match
+            // arms borrow the graph) and put back afterwards.
+            let op = std::mem::replace(&mut self.nodes[idx].op, Op::Leaf);
+            match &op {
+                &Op::Leaf => {}
+                &Op::Add(a, b) => {
                     self.accumulate(&mut grads, a, g.clone());
                     self.accumulate(&mut grads, b, g);
                 }
-                Op::Sub(a, b) => {
+                &Op::Sub(a, b) => {
                     self.accumulate(&mut grads, a, g.clone());
                     self.accumulate(&mut grads, b, g.scale(-1.0));
                 }
-                Op::Mul(a, b) => {
+                &Op::Mul(a, b) => {
                     let ga = g.hadamard(self.value(b));
                     let gb = g.hadamard(self.value(a));
                     self.accumulate(&mut grads, a, ga);
                     self.accumulate(&mut grads, b, gb);
                 }
-                Op::Div(a, b) => {
+                &Op::Div(a, b) => {
                     let ga = g.zip_with(self.value(b), |gi, bi| gi / bi);
                     let y = self.nodes[idx].value.clone();
                     // d/db (a/b) = -a/b² = -y/b.
@@ -496,15 +522,15 @@ impl Graph {
                     self.accumulate(&mut grads, a, ga);
                     self.accumulate(&mut grads, b, gb);
                 }
-                Op::Log(a) => {
+                &Op::Log(a) => {
                     let gx = g.zip_with(self.value(a), |gi, xi| gi / xi);
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::ClampMin(a, lo) => {
+                &Op::ClampMin(a, lo) => {
                     let gx = g.zip_with(self.value(a), |gi, xi| if xi > lo { gi } else { 0.0 });
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::MatMul(a, b) => {
+                &Op::MatMul(a, b) => {
                     // ga = g·Bᵀ runs the blocked (vectorising) matmul on
                     // Bᵀ copied into an arena buffer; gb = Aᵀ·g reads A's
                     // columns directly. Both keep the historical
@@ -528,32 +554,32 @@ impl Graph {
                     self.accumulate(&mut grads, a, ga);
                     self.accumulate(&mut grads, b, gb);
                 }
-                Op::Affine(a, alpha) => {
+                &Op::Affine(a, alpha) => {
                     self.accumulate(&mut grads, a, g.scale(alpha));
                 }
-                Op::Relu(a) => {
+                &Op::Relu(a) => {
                     let gx = g.zip_with(self.value(a), |gi, xi| if xi > 0.0 { gi } else { 0.0 });
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::LeakyRelu(a, alpha) => {
+                &Op::LeakyRelu(a, alpha) => {
                     let gx =
                         g.zip_with(self.value(a), |gi, xi| if xi > 0.0 { gi } else { alpha * gi });
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::Sigmoid(a) => {
+                &Op::Sigmoid(a) => {
                     let y = &self.nodes[idx].value;
                     let gx = g.zip_with(y, |gi, yi| gi * yi * (1.0 - yi));
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::Tanh(a) => {
+                &Op::Tanh(a) => {
                     let y = &self.nodes[idx].value;
                     let gx = g.zip_with(y, |gi, yi| gi * (1.0 - yi * yi));
                     self.accumulate(&mut grads, a, gx);
                 }
-                Op::Transpose(a) => {
+                &Op::Transpose(a) => {
                     self.accumulate(&mut grads, a, g.t());
                 }
-                Op::AddRowBroadcast(x, bias) => {
+                &Op::AddRowBroadcast(x, bias) => {
                     // d/dbias: column sums of g into a 1×d row.
                     let mut gb = Matrix::zeros(1, g.cols());
                     for r in 0..g.rows() {
@@ -564,36 +590,28 @@ impl Graph {
                     self.accumulate(&mut grads, x, g);
                     self.accumulate(&mut grads, bias, gb);
                 }
-                Op::OuterSum(u, v) => {
-                    let mut gu = Matrix::zeros(g.rows(), 1);
-                    let mut gv = Matrix::zeros(g.cols(), 1);
-                    for i in 0..g.rows() {
-                        for j in 0..g.cols() {
-                            gu[(i, 0)] += g[(i, j)];
-                            gv[(j, 0)] += g[(i, j)];
-                        }
-                    }
-                    self.accumulate(&mut grads, u, gu);
-                    self.accumulate(&mut grads, v, gv);
-                }
-                Op::MaskedSoftmaxRows(x, mask) => {
-                    // Per row: gx = y ⊙ (g − Σ_k g_k y_k). Masked entries
-                    // have y = 0, so they receive zero gradient.
-                    let y = self.nodes[idx].value.clone();
-                    let mut gx = Matrix::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let dot: f64 = (0..y.cols()).map(|c| g[(r, c)] * y[(r, c)]).sum();
-                        for c in 0..y.cols() {
-                            if mask[(r, c)] != 0.0 {
-                                gx[(r, c)] = y[(r, c)] * (g[(r, c)] - dot);
-                            }
-                        }
-                    }
-                    self.accumulate(&mut grads, x, gx);
+                Op::GraphAttention { s_l, s_r, wh, edges, slope, alpha } => {
+                    let (n, f) = g.shape();
+                    let mut gl = Matrix::zeros(n, 1);
+                    let mut gr = Matrix::zeros(n, 1);
+                    let mut gw = Matrix::zeros(n, f);
+                    kernels::graph_attention_backward(
+                        self.attention(*s_l, *s_r, *wh, edges, *slope),
+                        alpha,
+                        g.as_slice(),
+                        gl.as_mut_slice(),
+                        gr.as_mut_slice(),
+                        gw.as_mut_slice(),
+                    );
+                    // ∂wh first: the dense chain's `α·Wh` product was
+                    // recorded after the outer sum, so its VJP ran first.
+                    self.accumulate(&mut grads, *wh, gw);
+                    self.accumulate(&mut grads, *s_l, gl);
+                    self.accumulate(&mut grads, *s_r, gr);
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
-                    for p in parts {
+                    for &p in parts {
                         let w = self.value(p).cols();
                         let mut gp = Matrix::zeros(g.rows(), w);
                         for r in 0..g.rows() {
@@ -603,16 +621,16 @@ impl Graph {
                         self.accumulate(&mut grads, p, gp);
                     }
                 }
-                Op::SumAll(a) => {
+                &Op::SumAll(a) => {
                     let shape = self.value(a).shape();
                     self.accumulate(&mut grads, a, Matrix::full(shape.0, shape.1, g.item()));
                 }
-                Op::MeanAll(a) => {
+                &Op::MeanAll(a) => {
                     let shape = self.value(a).shape();
                     let n = (shape.0 * shape.1) as f64;
                     self.accumulate(&mut grads, a, Matrix::full(shape.0, shape.1, g.item() / n));
                 }
-                Op::Mse(pred, target) => {
+                &Op::Mse(pred, target) => {
                     let p = self.value(pred);
                     let t = self.value(target);
                     let n = p.len() as f64;
@@ -621,7 +639,7 @@ impl Graph {
                     self.accumulate(&mut grads, pred, gp);
                     self.accumulate(&mut grads, target, gt);
                 }
-                Op::RowwiseDot(a, b) => {
+                &Op::RowwiseDot(a, b) => {
                     let av = self.value(a).clone();
                     let bv = self.value(b).clone();
                     let mut ga = Matrix::zeros(av.rows(), av.cols());
@@ -637,23 +655,24 @@ impl Graph {
                     self.accumulate(&mut grads, b, gb);
                 }
                 Op::SelectRows(x, ids) => {
-                    let shape = self.value(x).shape();
+                    let shape = self.value(*x).shape();
                     let mut gx = Matrix::zeros(shape.0, shape.1);
                     for (r, &id) in ids.iter().enumerate() {
                         for c in 0..shape.1 {
                             gx[(id, c)] += g[(r, c)];
                         }
                     }
-                    self.accumulate(&mut grads, x, gx);
+                    self.accumulate(&mut grads, *x, gx);
                 }
                 Op::Dropout(x, mask) => {
-                    self.accumulate(&mut grads, x, g.hadamard(&mask));
+                    self.accumulate(&mut grads, *x, g.hadamard(mask));
                 }
-                Op::SqFrobenius(x) => {
+                &Op::SqFrobenius(x) => {
                     let gx = self.value(x).scale(2.0 * g.item());
                     self.accumulate(&mut grads, x, gx);
                 }
             }
+            self.nodes[idx].op = op;
         }
 
         let shapes = self.nodes.iter().map(|n| n.value.shape()).collect();
@@ -680,12 +699,15 @@ impl Graph {
             Op::ClampMin(a, lo) => PlanOp::ClampMin(a.0, *lo),
             Op::Transpose(a) => PlanOp::Transpose(a.0),
             Op::AddRowBroadcast(a, b) => PlanOp::AddRowBroadcast(a.0, b.0),
-            Op::OuterSum(a, b) => PlanOp::OuterSum(a.0, b.0),
-            Op::MaskedSoftmaxRows(a, mask) => {
-                let fully_masked_rows =
-                    (0..mask.rows()).filter(|&r| mask.row(r).iter().all(|&m| m == 0.0)).count();
-                PlanOp::MaskedSoftmaxRows { x: a.0, mask_shape: mask.shape(), fully_masked_rows }
-            }
+            Op::GraphAttention { s_l, s_r, wh, edges, slope, .. } => PlanOp::GraphAttention {
+                s_l: s_l.0,
+                s_r: s_r.0,
+                wh: wh.0,
+                slope: *slope,
+                nodes: edges.nodes(),
+                edges: edges.len(),
+                isolated: edges.isolated(),
+            },
             Op::ConcatCols(parts) => PlanOp::ConcatCols(parts.iter().map(|v| v.0).collect()),
             Op::SumAll(a) => PlanOp::SumAll(a.0),
             Op::MeanAll(a) => PlanOp::MeanAll(a.0),
@@ -786,21 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_softmax_rows_behaviour() {
-        let mut g = Graph::new();
-        let x = g.input(Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 0.0, 0.0]]));
-        let mask = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 0.0, 0.0]]);
-        let y = g.masked_softmax_rows(x, &mask);
-        let yv = g.value(y);
-        // Row 0: softmax over logits 1 and 3, middle masked to zero.
-        assert_eq!(yv[(0, 1)], 0.0);
-        assert!((yv[(0, 0)] + yv[(0, 2)] - 1.0).abs() < 1e-12);
-        assert!(yv[(0, 2)] > yv[(0, 0)]);
-        // Row 1: fully masked stays zero.
-        assert_eq!(yv.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn select_rows_scatter_adds() {
         let mut g = Graph::new();
         let x = g.input(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
@@ -825,17 +832,31 @@ mod tests {
     }
 
     #[test]
-    fn outer_sum_value_and_grad() {
+    fn graph_attention_is_one_node_and_returns_its_buffers() {
+        // Path 0–1–2 with self-loops; node 3 has no edges at all.
+        let rows: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[1, 2], &[]];
+        let edges = Arc::new(EdgeList::from_rows(rows).unwrap());
         let mut g = Graph::new();
-        let u = g.input(Matrix::col_vector(&[1.0, 2.0]));
-        let v = g.input(Matrix::col_vector(&[10.0, 20.0, 30.0]));
-        let e = g.outer_sum(u, v);
-        assert_eq!(g.value(e).shape(), (2, 3));
-        assert_eq!(g.value(e)[(1, 2)], 32.0);
-        let loss = g.sum_all(e);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(u).as_slice(), &[3.0, 3.0]); // summed over 3 cols
-        assert_eq!(grads.get(v).as_slice(), &[2.0, 2.0, 2.0]);
+        for _ in 0..2 {
+            g.reset();
+            let sl = g.input(Matrix::col_vector(&[0.5, -1.0, 2.0, 0.1]));
+            let sr = g.input(Matrix::col_vector(&[1.0, 0.25, -3.0, 0.2]));
+            let wh = g.input(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]));
+            let out = g.graph_attention(sl, sr, wh, &edges, 0.2);
+            assert_eq!(g.len(), 4, "one node for the whole attention head");
+            let v = g.value(out);
+            // Node 3 attends to nothing; node 2 mixes wh[1] and wh[2].
+            assert_eq!(v[(3, 0)], 0.0);
+            assert!(v[(2, 0)] > 2.0 && v[(2, 0)] < 3.0);
+            let loss = g.sum_all(out);
+            let grads = g.backward(loss);
+            // Rows of α sum to one: a uniform shift of wh moves the sum
+            // of the three attending rows by exactly three.
+            assert!((grads.get(wh).sum() - 3.0).abs() < 1e-12);
+            assert_eq!(grads.get(sl)[(3, 0)], 0.0);
+        }
+        // The α buffer goes back to the arena with the value buffer.
+        assert_eq!(g.workspace_counters().0, 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! surfaces as a runtime panic deep inside the op that tripped over
 //! it. A [`Plan`] is the same op list *without the data*: every node
 //! carries its op kind, its input node ids, the constants that matter
-//! for shape/structure reasoning (mask shapes, selected row ids,
-//! concat arity) and the shape the tape recorded for it.
+//! for shape/structure reasoning (graph sizes, mask shapes, selected
+//! row ids, concat arity) and the shape the tape recorded for it.
 //!
 //! Plans serve two audiences:
 //!
@@ -48,14 +48,18 @@ pub enum PlanOp {
     Transpose(usize),
     /// `(n×d) + (1×d)` bias-style broadcast over rows.
     AddRowBroadcast(usize, usize),
-    /// `out[i][j] = u[i] + v[j]` from column vectors.
-    OuterSum(usize, usize),
-    /// Row-wise masked softmax; carries the mask shape and how many
-    /// mask rows are fully zero (isolated nodes).
-    MaskedSoftmaxRows {
-        x: usize,
-        mask_shape: (usize, usize),
-        fully_masked_rows: usize,
+    /// One GAT head's attention over a graph's edge list: score
+    /// columns `s_l`, `s_r` (`n×1`) and features `wh` (`n×f`) → `n×f`.
+    /// Carries the LeakyReLU slope and the graph's size: its node and
+    /// edge counts and how many nodes have no edges at all.
+    GraphAttention {
+        s_l: usize,
+        s_r: usize,
+        wh: usize,
+        slope: f64,
+        nodes: usize,
+        edges: usize,
+        isolated: usize,
     },
     /// Horizontal concatenation.
     ConcatCols(Vec<usize>),
@@ -96,8 +100,7 @@ impl PlanOp {
             PlanOp::ClampMin(..) => "clamp_min",
             PlanOp::Transpose(..) => "transpose",
             PlanOp::AddRowBroadcast(..) => "add_row_broadcast",
-            PlanOp::OuterSum(..) => "outer_sum",
-            PlanOp::MaskedSoftmaxRows { .. } => "masked_softmax_rows",
+            PlanOp::GraphAttention { .. } => "graph_attention",
             PlanOp::ConcatCols(..) => "concat_cols",
             PlanOp::SumAll(..) => "sum_all",
             PlanOp::MeanAll(..) => "mean_all",
@@ -119,7 +122,6 @@ impl PlanOp {
             | PlanOp::Div(a, b)
             | PlanOp::MatMul(a, b)
             | PlanOp::AddRowBroadcast(a, b)
-            | PlanOp::OuterSum(a, b)
             | PlanOp::Mse(a, b)
             | PlanOp::RowwiseDot(a, b) => vec![*a, *b],
             PlanOp::Affine(a, _)
@@ -134,8 +136,8 @@ impl PlanOp {
             | PlanOp::MeanAll(a)
             | PlanOp::SqFrobenius(a)
             | PlanOp::Dropout(a, _)
-            | PlanOp::MaskedSoftmaxRows { x: a, .. }
             | PlanOp::SelectRows { x: a, .. } => vec![*a],
+            PlanOp::GraphAttention { s_l, s_r, wh, .. } => vec![*s_l, *s_r, *wh],
             PlanOp::ConcatCols(parts) => parts.clone(),
         }
     }
@@ -254,20 +256,27 @@ mod tests {
     }
 
     #[test]
-    fn plan_records_mask_structure() {
+    fn plan_records_graph_structure() {
+        let rows: [&[u32]; 3] = [&[0, 2], &[], &[2]];
+        let edges = std::sync::Arc::new(ams_runtime::EdgeList::from_rows(rows).unwrap());
         let mut g = Graph::new();
-        let x = g.input(Matrix::zeros(2, 3));
-        let mask = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 0.0, 0.0]]);
-        let s = g.masked_softmax_rows(x, &mask);
+        let sl = g.input(Matrix::zeros(3, 1));
+        let sr = g.input(Matrix::zeros(3, 1));
+        let wh = g.input(Matrix::zeros(3, 2));
+        let out = g.graph_attention(sl, sr, wh, &edges, 0.2);
         let plan = g.plan();
-        match &plan.nodes[s.index()].op {
-            PlanOp::MaskedSoftmaxRows { x: xi, mask_shape, fully_masked_rows } => {
-                assert_eq!(*xi, x.index());
-                assert_eq!(*mask_shape, (2, 3));
-                assert_eq!(*fully_masked_rows, 1);
-            }
-            other => panic!("unexpected op {other:?}"),
-        }
+        let want = PlanOp::GraphAttention {
+            s_l: sl.index(),
+            s_r: sr.index(),
+            wh: wh.index(),
+            slope: 0.2,
+            nodes: 3,
+            edges: 3,
+            isolated: 1,
+        };
+        assert_eq!(plan.nodes[out.index()].op, want);
+        assert_eq!(plan.nodes[out.index()].op.inputs(), vec![sl.index(), sr.index(), wh.index()]);
+        assert_eq!(plan.nodes[out.index()].shape, Some((3, 2)));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property-based tests of the matrix algebra and autodiff invariants.
 
+use std::sync::Arc;
+
+use ams_tensor::runtime::EdgeList;
 use ams_tensor::{Graph, Matrix};
 use proptest::prelude::*;
 
@@ -114,14 +117,17 @@ proptest! {
         prop_assert!(resid.max_abs_diff(&Matrix::zeros(4, 2)) < 1e-8);
     }
 
-    /// Softmax rows (via masked softmax with a full mask) stay on the
-    /// simplex.
+    /// Attention weights stay on the simplex: on the complete graph
+    /// with `wh = I` the aggregation returns α itself, row by row.
     #[test]
-    fn softmax_simplex(a in matrix(4, 6)) {
+    fn attention_simplex(scores in matrix(4, 2)) {
+        let rows: Vec<Vec<u32>> = (0..4).map(|_| (0..4).collect()).collect();
+        let edges = EdgeList::from_rows(rows.iter().map(Vec::as_slice)).expect("complete graph");
         let mut g = Graph::new();
-        let x = g.input(a);
-        let mask = Matrix::ones(4, 6);
-        let y = g.masked_softmax_rows(x, &mask);
+        let sl = g.input(Matrix::col_vector(&scores.col(0)));
+        let sr = g.input(Matrix::col_vector(&scores.col(1)));
+        let wh = g.input(Matrix::eye(4));
+        let y = g.graph_attention(sl, sr, wh, &Arc::new(edges), 0.2);
         let yv = g.value(y);
         for r in 0..4 {
             let row_sum: f64 = yv.row(r).iter().sum();

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ams_tensor::runtime::{kernels, Backend, Par, Seq};
+use ams_tensor::runtime::{kernels, Backend, EdgeList, Par, Seq};
 use ams_tensor::{Graph, Matrix, Var};
 use proptest::prelude::*;
 
@@ -22,6 +22,7 @@ fn every_op(g: &mut Graph) -> Var {
     let wb = g.input(mat(4, 4, |r, c| if r == c { 0.5 } else { 0.05 }));
     let y = g.input(Matrix::col_vector(&[0.2, -0.1, 0.4, 0.0]));
     let mask = mat(4, 4, |r, c| f64::from(r == c || (r + c) % 3 == 0));
+    let edges = Arc::new(EdgeList::from_mask(mask.as_slice(), 4));
     let keep = mat(4, 4, |r, c| if (r * 4 + c) % 5 == 0 { 0.0 } else { 1.25 });
 
     let h = g.matmul(x, w);
@@ -40,10 +41,7 @@ fn every_op(g: &mut Graph) -> Var {
 
     let u = g.matmul(h, a1);
     let v = g.matmul(h, a2);
-    let e = g.outer_sum(u, v);
-    let e = g.leaky_relu(e, 0.2);
-    let att = g.masked_softmax_rows(e, &mask);
-    let agg = g.matmul(att, af);
+    let agg = g.graph_attention(u, v, af, &edges, 0.2);
     let cat = g.concat_cols(&[agg, l]);
     let tr = g.transpose(cat);
     let dropped = g.dropout(cat, &keep);
