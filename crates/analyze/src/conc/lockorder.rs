@@ -810,6 +810,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(sites, 20);
+        assert_eq!(sites, 21);
     }
 }

@@ -35,5 +35,5 @@ pub mod shardmap;
 
 pub use hedge::hedge_read_timeout;
 pub use metrics::RouterMetrics;
-pub use router::{fast_field_u64, route_shard, Router, RouterConfig};
+pub use router::{route_shard, Router, RouterConfig};
 pub use shardmap::ShardMap;

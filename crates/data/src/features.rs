@@ -288,9 +288,10 @@ impl Standardizer {
     /// Panics if the row width disagrees with the fitted width.
     pub fn transform_row(&self, features: &mut [f64]) {
         assert_eq!(features.len(), self.width(), "transform_row: feature width mismatch");
-        for (j, v) in features.iter_mut().enumerate() {
-            if !self.skip[j] && self.stds[j] > 1e-12 {
-                *v = (*v - self.means[j]) / self.stds[j];
+        let columns = self.skip.iter().zip(self.means.iter().zip(&self.stds));
+        for (v, (&skip, (&mean, &std))) in features.iter_mut().zip(columns) {
+            if !skip && std > 1e-12 {
+                *v = (*v - mean) / std;
             }
         }
     }

@@ -49,12 +49,29 @@ impl FallbackModel {
     /// Always returns a finite number — the whole point of the
     /// fallback is that it cannot itself fail.
     pub fn predict(&self, company: Option<usize>, slave_row: Option<&[f64]>) -> f64 {
-        if let Some(row) = slave_row {
-            if row.len() == self.anchor.rows() && row.iter().all(|v| v.is_finite()) {
-                let dot: f64 = row.iter().zip(self.anchor.as_slice()).map(|(&x, &w)| x * w).sum();
-                if dot.is_finite() {
-                    return dot;
-                }
+        self.predict_from(company, slave_row.map(|row| row.iter().copied()))
+    }
+
+    /// [`FallbackModel::predict`] with the slave row given as its values
+    /// in column order, so a caller can project a full feature row
+    /// without materializing the slave row.
+    pub fn predict_from(
+        &self,
+        company: Option<usize>,
+        slave_row: Option<impl ExactSizeIterator<Item = f64>>,
+    ) -> f64 {
+        if let Some(row) = slave_row.filter(|row| row.len() == self.anchor.rows()) {
+            // The anchor answers only for an all-finite row.
+            let mut finite = true;
+            let dot: f64 = row
+                .zip(self.anchor.as_slice())
+                .map(|(x, &w)| {
+                    finite &= x.is_finite();
+                    x * w
+                })
+                .sum();
+            if finite && dot.is_finite() {
+                return dot;
             }
         }
         if let Some(c) = company {

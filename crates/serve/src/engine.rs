@@ -132,16 +132,13 @@ impl Engine {
     /// be `None` or non-finite) is projected to slave space here; the
     /// result is always finite — this path cannot fail.
     pub fn fallback_predict(&self, company: Option<usize>, features: Option<&[f64]>) -> f64 {
-        let slave_row: Option<Vec<f64>> = features.and_then(|f| {
-            if f.len() != self.feature_width() {
-                return None;
+        let full = features.filter(|f| f.len() == self.feature_width());
+        match (full, &self.artifact.snapshot.config.slave_cols) {
+            (Some(f), Some(cols)) => {
+                self.fallback.predict_from(company, Some(cols.iter().map(|&c| f[c])))
             }
-            Some(match &self.artifact.snapshot.config.slave_cols {
-                Some(cols) => cols.iter().map(|&c| f[c]).collect(),
-                None => f.to_vec(),
-            })
-        });
-        self.fallback.predict(company, slave_row.as_deref())
+            (full, _) => self.fallback.predict(company, full),
+        }
     }
 
     /// The artifact this engine scores with.

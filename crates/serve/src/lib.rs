@@ -42,6 +42,7 @@ pub mod engine;
 pub mod metrics;
 pub mod net;
 pub mod plan;
+pub mod protocol;
 pub mod registry;
 pub mod server;
 

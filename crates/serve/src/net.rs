@@ -92,14 +92,15 @@ pub const MAX_QUEUE: usize = 1 << 16;
 /// read cannot stall the acceptor.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// A [`LineHandler`]'s answer to one request line.
+/// What the core does with the reply a [`LineHandler`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reply {
-    /// A response line; the core appends the newline, writes both with
-    /// one send, and keeps reading.
-    Line(String),
-    /// Bytes written verbatim with no newline, then the connection
-    /// closes: a response cut off mid-line.
-    Cut(Vec<u8>),
+    /// The buffer holds one response line; the core appends the
+    /// newline, writes both with one send, and keeps reading.
+    Line,
+    /// Write the buffer's first `n` bytes verbatim with no newline,
+    /// then close: a response cut off mid-line.
+    Cut(usize),
 }
 
 /// What a front door does with its lines; [`LineServer`] owns the
@@ -114,8 +115,10 @@ pub trait LineHandler: Send + Sync + 'static {
     /// admission receives before it is closed.
     const SHED_LINE: &'static [u8];
 
-    /// Answer one request line (trimmed, never empty).
-    fn handle(&self, scratch: &mut Self::Scratch, line: &str) -> Reply;
+    /// Answer one request line (trimmed, never empty) by writing the
+    /// response into `out`, which the core owns, reuses across lines
+    /// and hands over empty.
+    fn handle(&self, scratch: &mut Self::Scratch, line: &str, out: &mut String) -> Reply;
 
     /// A connection was shed at admission.
     fn on_shed(&self) {}
@@ -239,6 +242,9 @@ fn worker_loop<H: LineHandler>(
     shutdown: &AtomicBool,
 ) {
     let mut scratch = H::Scratch::default();
+    // The reply buffer lives as long as the worker: once it has grown
+    // to the largest reply, writing a reply allocates nothing.
+    let mut reply = String::new();
     loop {
         // Hold the queue lock only while dequeuing. A poisoned lock
         // means a sibling panicked while dequeuing; the receiver is
@@ -248,7 +254,9 @@ fn worker_loop<H: LineHandler>(
             guard.recv_timeout(READ_TICK)
         };
         match conn {
-            Ok(stream) => serve_connection(stream, handler, &mut scratch, idle_timeout, shutdown),
+            Ok(stream) => {
+                serve_connection(stream, handler, &mut scratch, &mut reply, idle_timeout, shutdown)
+            }
             Err(RecvTimeoutError::Timeout) if shutdown.load(Ordering::SeqCst) => return,
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
@@ -262,6 +270,7 @@ fn serve_connection<H: LineHandler>(
     stream: TcpStream,
     handler: &H,
     scratch: &mut H::Scratch,
+    reply: &mut String,
     idle_timeout: Option<Duration>,
     shutdown: &AtomicBool,
 ) {
@@ -311,8 +320,9 @@ fn serve_connection<H: LineHandler>(
         }
         let request = line.trim();
         if !request.is_empty() {
-            match handler.handle(scratch, request) {
-                Reply::Line(mut reply) => {
+            reply.clear();
+            match handler.handle(scratch, request, reply) {
+                Reply::Line => {
                     // ams-lint: allow(no-unbounded-queue-in-serve) — one newline per reply
                     reply.push('\n');
                     if writer.write_all(reply.as_bytes()).is_err()
@@ -321,8 +331,8 @@ fn serve_connection<H: LineHandler>(
                         return;
                     }
                 }
-                Reply::Cut(bytes) => {
-                    let _ = writer.write_all(&bytes);
+                Reply::Cut(n) => {
+                    let _ = writer.write_all(reply.as_bytes().get(..n).unwrap_or_default());
                     return;
                 }
             }

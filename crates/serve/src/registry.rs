@@ -117,6 +117,20 @@ impl Registry {
         map.get(name)?.versions.iter().find(|e| e.artifact().version == version).map(Arc::clone)
     }
 
+    /// The active engine when exactly one model is published, else
+    /// `Err` with the number of published models (0, or 2 and more).
+    /// What a request that names no model resolves to; one read lock,
+    /// no allocation.
+    pub fn sole_active(&self) -> Result<Arc<Engine>, usize> {
+        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let mut live = map.values().filter_map(Entry::active);
+        match (live.next(), live.next()) {
+            (Some(only), None) => Ok(only),
+            (None, _) => Err(0),
+            (Some(_), Some(_)) => Err(2 + live.count()),
+        }
+    }
+
     /// `(name, active version, retained count)` for every model.
     pub fn list(&self) -> Vec<(String, u64, usize)> {
         let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
@@ -170,6 +184,22 @@ mod tests {
         let err = reg.publish(artifact_with_version(53, 2)).unwrap_err();
         assert!(err.contains("not newer"), "{err}");
         assert_eq!(reg.list(), vec![("ams-demo".to_string(), 2, 2)]);
+    }
+
+    #[test]
+    fn sole_active_counts_published_names() {
+        let reg = Registry::new();
+        assert_eq!(reg.sole_active().err(), Some(0));
+        let v1 = artifact_with_version(56, 1);
+        let mut v2 = v1.clone();
+        v2.version = 2;
+        let mut other = v1.clone();
+        other.name = "other".into();
+        reg.publish(v1).unwrap();
+        reg.publish(v2).unwrap();
+        assert_eq!(reg.sole_active().unwrap().artifact().version, 2, "versions are one name");
+        reg.publish(other).unwrap();
+        assert_eq!(reg.sole_active().err(), Some(2));
     }
 
     #[test]

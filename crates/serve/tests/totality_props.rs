@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ams_serve::net::MAX_LINE_BYTES;
+use ams_serve::protocol::{self, FeatureBuf};
 use ams_serve::{Registry, Server, ServerConfig};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -122,6 +123,174 @@ proptest! {
             let encoded = serde_json::to_string(&v).expect("re-encode parsed value");
             prop_assert!(serde_json::from_str::<Value>(&encoded).is_ok(), "{encoded}");
         }
+    }
+}
+
+/// Characters a JSON number token may span, plus the separators and
+/// literals around it: concatenations probe the float grammar's edges
+/// (`1.`, `-.5`, `1e+`, `--1`, `01`) inside a feature array.
+const NUMBER_TOKENS: [&str; 14] =
+    ["0", "7", "-", "+", ".", "e", "E", "1e5", "-0", ",", ",", "null", " ", "\"\""];
+
+/// The vendored parser's verdict on `text`: its error message, or the
+/// document.
+fn vendored(text: &str) -> Result<Value, String> {
+    serde_json::from_str::<Value>(text).map_err(|e| e.to_string())
+}
+
+/// The protocol's verdict on `text` must be the vendored parser's, in
+/// both modes: the same acceptance and the same error message. For a
+/// collecting parse of an object, `features` must read exactly as the
+/// vendored deserializer reads it, as one row and as rows, bit for bit.
+fn assert_agrees(text: &str) -> Result<(), String> {
+    let want = vendored(text);
+    let mut buf = FeatureBuf::default();
+    let (got, peak) = peak_heap_during(|| protocol::parse_request(text, Some(&mut buf)));
+    prop_assert!(peak <= (1 << 20) + 64 * text.len(), "peak {peak} for {} bytes", text.len());
+    let validated = protocol::parse_request(text, None);
+    match (&want, &got) {
+        (Err(w), Err(g)) => {
+            prop_assert_eq!(w, &g.to_string(), "{:?}", text);
+            prop_assert_eq!(w, &validated.unwrap_err().to_string(), "{:?}", text);
+        }
+        (Ok(doc), Ok(req)) => {
+            prop_assert!(validated.is_ok(), "{:?}", text);
+            let field = doc.get("features");
+            prop_assert_eq!(field.is_some(), req.features().is_some(), "{:?}", text);
+            if let (Some(field), Some(features)) = (field, req.features()) {
+                let flat: Result<Vec<f64>, String> =
+                    serde::Deserialize::from_value(field).map_err(|e: serde::Error| e.to_string());
+                match (flat, features.flat()) {
+                    (Ok(w), Ok(range)) => prop_assert_eq!(bits(&w), bits(&buf.values[range])),
+                    (Err(w), Err(g)) => prop_assert_eq!(w, g.to_string()),
+                    (w, g) => prop_assert!(false, "{text:?}: one row {w:?} vs {g:?}"),
+                }
+                let rows: Result<Vec<Vec<f64>>, String> =
+                    serde::Deserialize::from_value(field).map_err(|e: serde::Error| e.to_string());
+                match (rows, features.rows()) {
+                    (Ok(w), Ok((values, ends))) => {
+                        let ends = &buf.rows[ends];
+                        prop_assert_eq!(w.iter().map(Vec::len).collect::<Vec<_>>(), widths(ends));
+                        prop_assert_eq!(bits(&w.concat()), bits(&buf.values[values]));
+                    }
+                    (Err(w), Err(g)) => prop_assert_eq!(w, g.to_string()),
+                    (w, g) => prop_assert!(false, "{text:?}: rows {w:?} vs {g:?}"),
+                }
+            }
+        }
+        (w, g) => prop_assert!(false, "{text:?}: vendored {w:?}, protocol {g:?}"),
+    }
+    Ok(())
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Row widths from cumulative row ends.
+fn widths(ends: &[usize]) -> Vec<usize> {
+    ends.iter().scan(0, |start, &end| Some(end - std::mem::replace(start, end))).collect()
+}
+
+/// A feature value as a client might write it: shortest, exponent or
+/// padded form, or `null` for a non-finite value.
+fn render(v: f64, style: usize) -> String {
+    if !v.is_finite() {
+        return "null".to_string();
+    }
+    match style % 4 {
+        0 => format!("{v}"),
+        1 => format!("{v:e}"),
+        2 => format!("{v:E}"),
+        _ => format!("{v}{}", if v.fract() == 0.0 { "" } else { "000" }),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Byte soup, bare and inside a request prefix: the protocol
+    /// accepts and rejects exactly what the vendored parser does.
+    #[test]
+    fn protocol_agrees_with_vendored_on_byte_soup(
+        byte_codes in prop::collection::vec(0usize..256, 0..2048),
+        prefixed in 0u8..2,
+    ) {
+        let bytes: Vec<u8> = byte_codes.iter().map(|&b| b as u8).collect();
+        let soup = String::from_utf8_lossy(&bytes).into_owned();
+        let text = if prefixed == 1 { format!("{{\"type\":\"predict\",\"features\":{soup}") } else { soup };
+        assert_agrees(&text)?;
+    }
+
+    /// Token soup, bare and as the `features` value of a predict line:
+    /// the same verdicts, and the depth refusal past the ceiling.
+    #[test]
+    fn protocol_agrees_with_vendored_on_token_soup(
+        token_codes in prop::collection::vec(0usize..TOKENS.len(), 0..4096),
+        prefixed in 0u8..2,
+    ) {
+        let soup: String = token_codes.iter().map(|&t| TOKENS[t]).collect();
+        let depth = token_codes.iter().take_while(|&&t| TOKENS[t] == "[").count();
+        if prefixed == 1 {
+            assert_agrees(&format!("{{\"type\":\"predict\",\"features\":{soup}}}"))?;
+        } else {
+            assert_agrees(&soup)?;
+            if depth > serde_json::MAX_PARSE_DEPTH {
+                let err = protocol::parse_request(&soup, None).expect_err("a bracket bomb");
+                prop_assert!(err.is_too_deep(), "{err}");
+            }
+        }
+    }
+
+    /// Number-token soup inside a feature array and inside rows: the
+    /// float grammar and the one-row / rows readings agree.
+    #[test]
+    fn protocol_agrees_with_vendored_on_number_soup(
+        token_codes in prop::collection::vec(0usize..NUMBER_TOKENS.len(), 0..64),
+        as_rows in 0u8..2,
+    ) {
+        let soup: String = token_codes.iter().map(|&t| NUMBER_TOKENS[t]).collect();
+        let text = if as_rows == 1 {
+            format!("{{\"features\":[[{soup}],[{soup}]]}}")
+        } else {
+            format!("{{\"features\":[{soup}]}}")
+        };
+        assert_agrees(&text)?;
+    }
+
+    /// Nesting around the ceiling, open and closed, in arrays and in
+    /// objects: the depth refusal comes at the same depth and byte.
+    #[test]
+    fn depth_ceiling_matches_vendored(
+        depth in 100usize..160,
+        objects in 0u8..2,
+        closed in 0u8..2,
+    ) {
+        let (open, close) = if objects == 1 { ("{\"k\":", "}") } else { ("[", "]") };
+        let tail = if closed == 1 { close.repeat(depth) } else { String::new() };
+        let text = format!("{{\"features\":{}1{tail}", open.repeat(depth));
+        assert_agrees(&text)?;
+        let too_deep = protocol::parse_request(&text, None).err().is_some_and(|e| e.is_too_deep());
+        prop_assert_eq!(too_deep, depth + 1 > serde_json::MAX_PARSE_DEPTH);
+    }
+
+    /// Accepted predict and batch lines: every feature, NaN from `null`
+    /// included, lands with the vendored deserializer's bits.
+    #[test]
+    fn predict_and_batch_features_keep_every_bit(
+        raw_bits in prop::collection::vec(0u64..u64::MAX, 1..48),
+        styles in prop::collection::vec(0usize..4, 48),
+        rows in 1usize..5,
+    ) {
+        let row: Vec<String> = raw_bits
+            .iter()
+            .zip(&styles)
+            .map(|(&b, &style)| render(f64::from_bits(b), style))
+            .collect();
+        let row = format!("[{}]", row.join(","));
+        assert_agrees(&format!("{{\"type\":\"predict\",\"company\":3,\"features\":{row}}}"))?;
+        let batch = vec![row; rows].join(" , ");
+        assert_agrees(&format!("{{\"features\":[{batch}],\"type\":\"batch_predict\"}}"))?;
     }
 }
 
