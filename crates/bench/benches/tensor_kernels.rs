@@ -118,7 +118,7 @@ fn bench_gat_layer(c: &mut Criterion) {
             let pv: Vec<_> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
             let Ok(y) = GatLayer::forward(&mut Tape::new(&mut g, &edges, &pv), &x, &spec, 0);
             let loss = g.sq_frobenius(y);
-            black_box(g.backward(loss));
+            black_box(g.backward(loss, &pv));
         });
     });
 }

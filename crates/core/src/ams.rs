@@ -739,9 +739,7 @@ impl AmsModel {
             g.reset();
             let (param_vars, loss) =
                 self.build_training_graph(&mut g, train, &edges, &b_acr, &params, Some(&mut rng));
-            let grads = g.backward(loss);
-            let grad_mats: Vec<Matrix> = param_vars.iter().map(|&v| grads.get(v)).collect();
-            adam.step(&mut params, &grad_mats);
+            adam.step(&mut params, &g.backward(loss, &param_vars));
 
             if let Some(vb) = val {
                 if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.state.config.epochs {

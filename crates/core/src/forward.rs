@@ -208,7 +208,7 @@ impl ForwardOps for Tape<'_> {
             Some(rng) if self.dropout > 0.0 => {
                 let (rows, cols) = self.g.value(x).shape();
                 let mask = dropout_mask(rows, cols, self.dropout, rng);
-                self.g.dropout(x, &mask)
+                self.g.dropout(x, mask)
             }
             _ => x,
         }

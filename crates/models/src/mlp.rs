@@ -79,7 +79,7 @@ impl Mlp {
                     if let Some(r) = rng.as_deref_mut() {
                         let shape = g.value(h).shape();
                         let mask = dropout_mask(shape.0, shape.1, self.config.dropout, r);
-                        h = g.dropout(h, &mask);
+                        h = g.dropout(h, mask);
                     }
                 }
             } else {
@@ -111,9 +111,7 @@ impl Regressor for Mlp {
                     }
                 }
             }
-            let grads = g.backward(loss);
-            let grad_mats: Vec<Matrix> = param_vars.iter().map(|&v| grads.get(v)).collect();
-            adam.step(&mut self.params, &grad_mats);
+            adam.step(&mut self.params, &g.backward(loss, &param_vars));
         }
     }
 

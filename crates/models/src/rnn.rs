@@ -170,9 +170,7 @@ impl Regressor for Rnn {
                     }
                 }
             }
-            let grads = g.backward(loss);
-            let grad_mats: Vec<Matrix> = pv.iter().map(|&v| grads.get(v)).collect();
-            adam.step(&mut self.params, &grad_mats);
+            adam.step(&mut self.params, &g.backward(loss, &pv));
         }
     }
 

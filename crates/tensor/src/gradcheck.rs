@@ -69,8 +69,7 @@ pub fn analytic_gradients_with(
     let mut g = Graph::with_backend(Arc::clone(backend));
     let vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
     let loss = f(&mut g, &vars);
-    let grads = g.backward(loss);
-    vars.iter().map(|&v| grads.get(v)).collect()
+    g.backward(loss, &vars)
 }
 
 /// Compare analytic and numeric gradients; returns the worst relative
@@ -296,7 +295,7 @@ mod tests {
         let mask = dropout_mask(4, 4, 0.5, &mut r);
         check_gradients(
             &move |g, vars| {
-                let d = g.dropout(vars[0], &mask);
+                let d = g.dropout(vars[0], mask.clone());
                 g.sq_frobenius(d)
             },
             &params,
@@ -370,7 +369,7 @@ mod tests {
                     let sl = g.matmul(wx, vars[2 + 3 * h]);
                     let sr = g.matmul(wx, vars[3 + 3 * h]);
                     let agg = g.graph_attention(sl, sr, wx, &edges, 0.2);
-                    let agg = g.dropout(agg, &eval_mask);
+                    let agg = g.dropout(agg, eval_mask.clone());
                     heads.push(g.relu(agg));
                 }
                 let cat = g.concat_cols(&heads);
@@ -388,11 +387,11 @@ mod tests {
         let x0 = xavier_uniform(3, 4, &mut r);
         let x = g.input(x0.clone());
         let m = dropout_mask(3, 4, 0.0, &mut r);
-        let y = g.dropout(x, &m);
+        let y = g.dropout(x, m);
         assert_eq!(g.value(y).as_slice(), x0.as_slice());
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        assert!(grads.get(x).max_abs_diff(&Matrix::ones(3, 4)) < 1e-15);
+        let grads = g.backward(loss, &[x]);
+        assert!(grads[0].max_abs_diff(&Matrix::ones(3, 4)) < 1e-15);
     }
 
     #[test]

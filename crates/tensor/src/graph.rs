@@ -15,8 +15,8 @@
 //! let w = g.input(Matrix::from_rows(&[&[0.5], &[-1.0]]));
 //! let y = g.matmul(x, w);
 //! let loss = g.sq_frobenius(y);
-//! let grads = g.backward(loss);
-//! assert_eq!(grads.get(w).rows(), 2);
+//! let grads = g.backward(loss, &[w]);
+//! assert_eq!(grads[0].rows(), 2);
 //! ```
 
 use std::sync::Arc;
@@ -95,37 +95,44 @@ enum Op {
     SqFrobenius(Var),
 }
 
+impl Op {
+    /// Whether `f` holds for any input of the op.
+    fn any_input(&self, mut f: impl FnMut(Var) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MatMul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::Mse(a, b)
+            | Op::RowwiseDot(a, b) => f(*a) || f(*b),
+            Op::Affine(a, _)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Log(a)
+            | Op::ClampMin(a, _)
+            | Op::Transpose(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SelectRows(a, _)
+            | Op::Dropout(a, _)
+            | Op::SqFrobenius(a) => f(*a),
+            Op::GraphAttention { s_l, s_r, wh, .. } => f(*s_l) || f(*s_r) || f(*wh),
+            Op::ConcatCols(parts) => parts.iter().any(|&p| f(p)),
+        }
+    }
+}
+
 struct Node {
     op: Op,
     value: Matrix,
     /// The value buffer came from the graph's [`Workspace`]; only such
     /// buffers go back to it on [`Graph::reset`].
     pooled: bool,
-}
-
-/// Gradients produced by [`Graph::backward`], indexed by [`Var`].
-pub struct Gradients {
-    grads: Vec<Option<Matrix>>,
-    shapes: Vec<(usize, usize)>,
-}
-
-impl Gradients {
-    /// Gradient of the loss w.r.t. `var`. Zero matrix when the variable
-    /// did not influence the loss.
-    pub fn get(&self, var: Var) -> Matrix {
-        match &self.grads[var.0] {
-            Some(g) => g.clone(),
-            None => {
-                let (r, c) = self.shapes[var.0];
-                Matrix::zeros(r, c)
-            }
-        }
-    }
-
-    /// Borrowed gradient, `None` when the variable is disconnected.
-    pub fn get_ref(&self, var: Var) -> Option<&Matrix> {
-        self.grads[var.0].as_ref()
-    }
 }
 
 /// A define-by-run computation tape.
@@ -467,9 +474,9 @@ impl Graph {
     /// Multiply by a fixed mask. Callers pass an inverted-dropout mask
     /// (entries `0` or `1/keep_prob`), built by
     /// [`crate::init::dropout_mask`].
-    pub fn dropout(&mut self, x: Var, mask: &Matrix) -> Var {
-        let v = self.value(x).hadamard(mask);
-        self.push(Op::Dropout(x, mask.clone()), v)
+    pub fn dropout(&mut self, x: Var, mask: Matrix) -> Var {
+        let v = self.value(x).hadamard(&mask);
+        self.push(Op::Dropout(x, mask), v)
     }
 
     /// Squared Frobenius norm → 1×1.
@@ -478,53 +485,98 @@ impl Graph {
         self.push(Op::SqFrobenius(x), v)
     }
 
-    /// Reverse-mode sweep from `output` (which is seeded with an
-    /// all-ones cotangent, so for the usual 1×1 loss the result is the
-    /// plain gradient).
-    pub fn backward(&mut self, output: Var) -> Gradients {
-        let n = self.nodes.len();
-        let mut grads: Vec<Option<Matrix>> = vec![None; n];
-        let out_shape = self.value(output).shape();
-        grads[output.0] = Some(Matrix::ones(out_shape.0, out_shape.1));
+    /// Reverse-mode sweep from `output`, seeded with an all-ones
+    /// cotangent (so for the usual 1×1 loss the result is the plain
+    /// gradient). Returns the gradients of the `wrt` leaves in `wrt`
+    /// order; a leaf `output` does not depend on gets zeros.
+    ///
+    /// Only the work those gradients need is done. A forward sweep marks
+    /// the nodes that depend on a `wrt` leaf; the reverse sweep runs a
+    /// VJP only at marked nodes and accumulates only into marked inputs,
+    /// so data leaves (features, labels, masks, selections) get no
+    /// gradient, and each node's gradient is dropped once its VJP has
+    /// run. Skipped work reaches no `wrt` leaf, so every requested
+    /// gradient is bit for bit what a sweep into every node would give.
+    ///
+    /// # Panics
+    /// Panics if a `wrt` node is not a leaf or is listed twice.
+    pub fn backward(&mut self, output: Var, wrt: &[Var]) -> Vec<Matrix> {
+        let len = output.0 + 1;
+        // need[i]: node i depends on a `wrt` leaf.
+        let mut need = vec![false; self.nodes.len()];
+        for &v in wrt {
+            assert!(
+                matches!(self.nodes[v.0].op, Op::Leaf),
+                "backward: wrt node {} is not a leaf",
+                v.0
+            );
+            assert!(!need[v.0], "backward: wrt node {} is listed twice", v.0);
+            need[v.0] = true;
+        }
+        for idx in 0..len {
+            if !need[idx] {
+                need[idx] = self.nodes[idx].op.any_input(|v| need[v.0]);
+            }
+        }
+        let mut grads: Vec<Option<Matrix>> = vec![None; len];
+        if need[output.0] {
+            let (r, c) = self.value(output).shape();
+            grads[output.0] = Some(Matrix::ones(r, c));
+        }
 
-        for idx in (0..=output.0).rev() {
-            let g = match grads[idx].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            // Re-insert so callers can read intermediate gradients too.
-            grads[idx] = Some(g.clone());
+        for idx in (0..len).rev() {
+            // Leaves keep their gradient for the caller.
+            if !need[idx] || matches!(self.nodes[idx].op, Op::Leaf) {
+                continue;
+            }
+            let Some(g) = grads[idx].take() else { continue };
             // The op is moved out for the duration of its VJP (the match
-            // arms borrow the graph) and put back afterwards.
+            // arms borrow the graph) and put back afterwards. A unary
+            // node is marked only through its input, so only binary and
+            // n-ary arms test `need`.
             let op = std::mem::replace(&mut self.nodes[idx].op, Op::Leaf);
             match &op {
                 &Op::Leaf => {}
                 &Op::Add(a, b) => {
-                    self.accumulate(&mut grads, a, g.clone());
-                    self.accumulate(&mut grads, b, g);
+                    if need[a.0] {
+                        self.accumulate(&mut grads, a, g.clone());
+                    }
+                    if need[b.0] {
+                        self.accumulate(&mut grads, b, g);
+                    }
                 }
                 &Op::Sub(a, b) => {
-                    self.accumulate(&mut grads, a, g.clone());
-                    self.accumulate(&mut grads, b, g.scale(-1.0));
+                    let gb = need[b.0].then(|| g.scale(-1.0));
+                    if need[a.0] {
+                        self.accumulate(&mut grads, a, g);
+                    }
+                    if let Some(gb) = gb {
+                        self.accumulate(&mut grads, b, gb);
+                    }
                 }
                 &Op::Mul(a, b) => {
-                    let ga = g.hadamard(self.value(b));
-                    let gb = g.hadamard(self.value(a));
-                    self.accumulate(&mut grads, a, ga);
-                    self.accumulate(&mut grads, b, gb);
+                    if need[a.0] {
+                        self.accumulate(&mut grads, a, g.hadamard(self.value(b)));
+                    }
+                    if need[b.0] {
+                        self.accumulate(&mut grads, b, g.hadamard(self.value(a)));
+                    }
                 }
                 &Op::Div(a, b) => {
-                    let ga = g.zip_with(self.value(b), |gi, bi| gi / bi);
-                    let y = self.nodes[idx].value.clone();
-                    // d/db (a/b) = -a/b² = -y/b.
-                    let gb =
-                        g.zip_with(&y, |gi, yi| gi * yi).zip_with(self.value(b), |gy, bi| -gy / bi);
-                    self.accumulate(&mut grads, a, ga);
-                    self.accumulate(&mut grads, b, gb);
+                    if need[a.0] {
+                        self.accumulate(&mut grads, a, g.zip_with(self.value(b), |gi, bi| gi / bi));
+                    }
+                    if need[b.0] {
+                        // d/db (a/b) = -a/b² = -y/b.
+                        let y = &self.nodes[idx].value;
+                        let gb = g
+                            .zip_with(y, |gi, yi| gi * yi)
+                            .zip_with(self.value(b), |gy, bi| -gy / bi);
+                        self.accumulate(&mut grads, b, gb);
+                    }
                 }
                 &Op::Log(a) => {
-                    let gx = g.zip_with(self.value(a), |gi, xi| gi / xi);
-                    self.accumulate(&mut grads, a, gx);
+                    self.accumulate(&mut grads, a, g.zip_with(self.value(a), |gi, xi| gi / xi));
                 }
                 &Op::ClampMin(a, lo) => {
                     let gx = g.zip_with(self.value(a), |gi, xi| if xi > lo { gi } else { 0.0 });
@@ -537,22 +589,26 @@ impl Graph {
                     // accumulation order and zero-skip bit-for-bit.
                     let (m, n) = g.shape();
                     let k = self.nodes[a.0].value.cols();
-                    let mut bt = self.ws.take(n * k);
-                    kernels::transpose(self.nodes[b.0].value.as_slice(), &mut bt, k, n);
-                    let mut ga = Matrix::zeros(m, k);
-                    self.backend.matmul(g.as_slice(), &bt, ga.as_mut_slice(), m, n, k);
-                    self.ws.give(bt);
-                    let mut gb = Matrix::zeros(k, n);
-                    self.backend.matmul_transa(
-                        self.nodes[a.0].value.as_slice(),
-                        g.as_slice(),
-                        gb.as_mut_slice(),
-                        m,
-                        k,
-                        n,
-                    );
-                    self.accumulate(&mut grads, a, ga);
-                    self.accumulate(&mut grads, b, gb);
+                    if need[a.0] {
+                        let mut bt = self.ws.take(n * k);
+                        kernels::transpose(self.nodes[b.0].value.as_slice(), &mut bt, k, n);
+                        let mut ga = Matrix::zeros(m, k);
+                        self.backend.matmul(g.as_slice(), &bt, ga.as_mut_slice(), m, n, k);
+                        self.ws.give(bt);
+                        self.accumulate(&mut grads, a, ga);
+                    }
+                    if need[b.0] {
+                        let mut gb = Matrix::zeros(k, n);
+                        self.backend.matmul_transa(
+                            self.nodes[a.0].value.as_slice(),
+                            g.as_slice(),
+                            gb.as_mut_slice(),
+                            m,
+                            k,
+                            n,
+                        );
+                        self.accumulate(&mut grads, b, gb);
+                    }
                 }
                 &Op::Affine(a, alpha) => {
                     self.accumulate(&mut grads, a, g.scale(alpha));
@@ -581,14 +637,21 @@ impl Graph {
                 }
                 &Op::AddRowBroadcast(x, bias) => {
                     // d/dbias: column sums of g into a 1×d row.
-                    let mut gb = Matrix::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            gb[(0, c)] += g[(r, c)];
+                    let gb = need[bias.0].then(|| {
+                        let mut gb = Matrix::zeros(1, g.cols());
+                        for r in 0..g.rows() {
+                            for c in 0..g.cols() {
+                                gb[(0, c)] += g[(r, c)];
+                            }
                         }
+                        gb
+                    });
+                    if need[x.0] {
+                        self.accumulate(&mut grads, x, g);
                     }
-                    self.accumulate(&mut grads, x, g);
-                    self.accumulate(&mut grads, bias, gb);
+                    if let Some(gb) = gb {
+                        self.accumulate(&mut grads, bias, gb);
+                    }
                 }
                 Op::GraphAttention { s_l, s_r, wh, edges, slope, alpha } => {
                     let (n, f) = g.shape();
@@ -605,20 +668,24 @@ impl Graph {
                     );
                     // ∂wh first: the dense chain's `α·Wh` product was
                     // recorded after the outer sum, so its VJP ran first.
-                    self.accumulate(&mut grads, *wh, gw);
-                    self.accumulate(&mut grads, *s_l, gl);
-                    self.accumulate(&mut grads, *s_r, gr);
+                    for (v, gv) in [(*wh, gw), (*s_l, gl), (*s_r, gr)] {
+                        if need[v.0] {
+                            self.accumulate(&mut grads, v, gv);
+                        }
+                    }
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for &p in parts {
                         let w = self.value(p).cols();
-                        let mut gp = Matrix::zeros(g.rows(), w);
-                        for r in 0..g.rows() {
-                            gp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
+                        if need[p.0] {
+                            let mut gp = Matrix::zeros(g.rows(), w);
+                            for r in 0..g.rows() {
+                                gp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
+                            }
+                            self.accumulate(&mut grads, p, gp);
                         }
                         offset += w;
-                        self.accumulate(&mut grads, p, gp);
                     }
                 }
                 &Op::SumAll(a) => {
@@ -635,24 +702,30 @@ impl Graph {
                     let t = self.value(target);
                     let n = p.len() as f64;
                     let gp = p.sub(t).scale(2.0 * g.item() / n);
-                    let gt = gp.scale(-1.0);
-                    self.accumulate(&mut grads, pred, gp);
-                    self.accumulate(&mut grads, target, gt);
+                    let gt = need[target.0].then(|| gp.scale(-1.0));
+                    if need[pred.0] {
+                        self.accumulate(&mut grads, pred, gp);
+                    }
+                    if let Some(gt) = gt {
+                        self.accumulate(&mut grads, target, gt);
+                    }
                 }
                 &Op::RowwiseDot(a, b) => {
-                    let av = self.value(a).clone();
-                    let bv = self.value(b).clone();
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    let mut gb = Matrix::zeros(av.rows(), av.cols());
-                    for r in 0..av.rows() {
-                        let gr = g[(r, 0)];
-                        for c in 0..av.cols() {
-                            ga[(r, c)] = gr * bv[(r, c)];
-                            gb[(r, c)] = gr * av[(r, c)];
+                    // ∂a[r] = g[r]·b[r] and ∂b[r] = g[r]·a[r].
+                    let scale_rows = |m: &Matrix| {
+                        let mut out = m.clone();
+                        for r in 0..out.rows() {
+                            let gr = g[(r, 0)];
+                            out.row_mut(r).iter_mut().for_each(|v| *v *= gr);
                         }
+                        out
+                    };
+                    if need[a.0] {
+                        self.accumulate(&mut grads, a, scale_rows(self.value(b)));
                     }
-                    self.accumulate(&mut grads, a, ga);
-                    self.accumulate(&mut grads, b, gb);
+                    if need[b.0] {
+                        self.accumulate(&mut grads, b, scale_rows(self.value(a)));
+                    }
                 }
                 Op::SelectRows(x, ids) => {
                     let shape = self.value(*x).shape();
@@ -675,8 +748,14 @@ impl Graph {
             self.nodes[idx].op = op;
         }
 
-        let shapes = self.nodes.iter().map(|n| n.value.shape()).collect();
-        Gradients { grads, shapes }
+        wrt.iter()
+            .map(|v| {
+                grads.get_mut(v.0).and_then(Option::take).unwrap_or_else(|| {
+                    let (r, c) = self.value(*v).shape();
+                    Matrix::zeros(r, c)
+                })
+            })
+            .collect()
     }
 
     /// Data-free description of node `idx` for [`Graph::plan`]
@@ -746,9 +825,9 @@ mod tests {
         let a = g.input(Matrix::scalar(2.0));
         let b = g.input(Matrix::scalar(3.0));
         let s = g.add(a, b);
-        let grads = g.backward(s);
-        assert_eq!(grads.get(a).item(), 1.0);
-        assert_eq!(grads.get(b).item(), 1.0);
+        let grads = g.backward(s, &[a, b]);
+        assert_eq!(grads[0].item(), 1.0);
+        assert_eq!(grads[1].item(), 1.0);
     }
 
     #[test]
@@ -759,11 +838,11 @@ mod tests {
         let b = g.input(Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]));
         let c = g.matmul(a, b);
         let loss = g.sum_all(c);
-        let grads = g.backward(loss);
+        let grads = g.backward(loss, &[a, b]);
         let expected_da = Matrix::ones(2, 2).matmul(&g.value(b).t());
         let expected_db = g.value(a).t().matmul(&Matrix::ones(2, 2));
-        assert!(grads.get(a).max_abs_diff(&expected_da) < 1e-12);
-        assert!(grads.get(b).max_abs_diff(&expected_db) < 1e-12);
+        assert!(grads[0].max_abs_diff(&expected_da) < 1e-12);
+        assert!(grads[1].max_abs_diff(&expected_db) < 1e-12);
     }
 
     #[test]
@@ -772,8 +851,8 @@ mod tests {
         let x = g.input(Matrix::from_rows(&[&[-1.0, 2.0]]));
         let y = g.relu(x);
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(x).as_slice(), &[0.0, 1.0]);
+        let grads = g.backward(loss, &[x]);
+        assert_eq!(grads[0].as_slice(), &[0.0, 1.0]);
     }
 
     #[test]
@@ -781,8 +860,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Matrix::scalar(0.0));
         let y = g.sigmoid(x);
-        let grads = g.backward(y);
-        assert!((grads.get(x).item() - 0.25).abs() < 1e-12);
+        let grads = g.backward(y, &[x]);
+        assert!((grads[0].item() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -791,8 +870,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Matrix::scalar(3.0));
         let y = g.mul(x, x);
-        let grads = g.backward(y);
-        assert!((grads.get(x).item() - 6.0).abs() < 1e-12);
+        let grads = g.backward(y, &[x]);
+        assert!((grads[0].item() - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -802,9 +881,10 @@ mod tests {
         let t = g.input(Matrix::from_rows(&[&[0.0], &[0.0]]));
         let l = g.mse(p, t);
         assert!((g.value(l).item() - 5.0).abs() < 1e-12);
-        let grads = g.backward(l);
-        // d/dp = 2(p - t)/n = [1, 3].
-        assert!(grads.get(p).max_abs_diff(&Matrix::from_rows(&[&[1.0], &[3.0]])) < 1e-12);
+        let grads = g.backward(l, &[p, t]);
+        // d/dp = 2(p - t)/n = [1, 3], and d/dt = −d/dp.
+        assert!(grads[0].max_abs_diff(&Matrix::from_rows(&[&[1.0], &[3.0]])) < 1e-12);
+        assert!(grads[1].max_abs_diff(&Matrix::from_rows(&[&[-1.0], &[-3.0]])) < 1e-12);
     }
 
     #[test]
@@ -813,9 +893,9 @@ mod tests {
         let x = g.input(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
         let s = g.select_rows(x, &[1, 1, 2]);
         let loss = g.sum_all(s);
-        let grads = g.backward(loss);
+        let grads = g.backward(loss, &[x]);
         // Row 1 selected twice → gradient 2; row 0 unselected → 0.
-        assert_eq!(grads.get(x).as_slice(), &[0.0, 2.0, 1.0]);
+        assert_eq!(grads[0].as_slice(), &[0.0, 2.0, 1.0]);
     }
 
     #[test]
@@ -826,9 +906,9 @@ mod tests {
         let d = g.rowwise_dot(a, b);
         assert_eq!(g.value(d).as_slice(), &[17.0, 53.0]);
         let loss = g.sum_all(d);
-        let grads = g.backward(loss);
-        assert!(grads.get(a).max_abs_diff(g.value(b)) < 1e-12);
-        assert!(grads.get(b).max_abs_diff(g.value(a)) < 1e-12);
+        let grads = g.backward(loss, &[a, b]);
+        assert!(grads[0].max_abs_diff(g.value(b)) < 1e-12);
+        assert!(grads[1].max_abs_diff(g.value(a)) < 1e-12);
     }
 
     #[test]
@@ -849,11 +929,11 @@ mod tests {
             assert_eq!(v[(3, 0)], 0.0);
             assert!(v[(2, 0)] > 2.0 && v[(2, 0)] < 3.0);
             let loss = g.sum_all(out);
-            let grads = g.backward(loss);
+            let grads = g.backward(loss, &[wh, sl]);
             // Rows of α sum to one: a uniform shift of wh moves the sum
             // of the three attending rows by exactly three.
-            assert!((grads.get(wh).sum() - 3.0).abs() < 1e-12);
-            assert_eq!(grads.get(sl)[(3, 0)], 0.0);
+            assert!((grads[0].sum() - 3.0).abs() < 1e-12);
+            assert_eq!(grads[1][(3, 0)], 0.0);
         }
         // The α buffer goes back to the arena with the value buffer.
         assert_eq!(g.workspace_counters().0, 2);
@@ -868,9 +948,9 @@ mod tests {
         assert_eq!(g.value(c).shape(), (2, 3));
         let scaled = g.scale(c, 2.0);
         let loss = g.sum_all(scaled);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(a).as_slice(), &[2.0, 2.0]);
-        assert_eq!(grads.get(b).as_slice(), &[2.0, 2.0, 2.0, 2.0]);
+        let grads = g.backward(loss, &[a, b]);
+        assert_eq!(grads[0].as_slice(), &[2.0, 2.0]);
+        assert_eq!(grads[1].as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -879,9 +959,9 @@ mod tests {
         let x = g.input(Matrix::scalar(1.0));
         let y = g.input(Matrix::scalar(2.0));
         let loss = g.sq_frobenius(x);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(y).item(), 0.0);
-        assert!(grads.get_ref(y).is_none());
+        let grads = g.backward(loss, &[y, x]);
+        assert_eq!(grads[0].item(), 0.0);
+        assert_eq!(grads[1].item(), 2.0);
     }
 
     #[test]
@@ -890,8 +970,8 @@ mod tests {
         let x = g.input(Matrix::from_rows(&[&[1.0, -2.0]]));
         let l = g.sq_frobenius(x);
         assert_eq!(g.value(l).item(), 5.0);
-        let grads = g.backward(l);
-        assert_eq!(grads.get(x).as_slice(), &[2.0, -4.0]);
+        let grads = g.backward(l, &[x]);
+        assert_eq!(grads[0].as_slice(), &[2.0, -4.0]);
     }
 
     #[test]
@@ -899,10 +979,10 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Matrix::from_rows(&[&[1.0, 1.0]]));
         let mask = Matrix::from_rows(&[&[0.0, 2.0]]);
-        let y = g.dropout(x, &mask);
+        let y = g.dropout(x, mask);
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(x).as_slice(), &[0.0, 2.0]);
+        let grads = g.backward(loss, &[x]);
+        assert_eq!(grads[0].as_slice(), &[0.0, 2.0]);
     }
 
     #[test]
@@ -913,8 +993,8 @@ mod tests {
         assert_eq!(g.value(xt).shape(), (3, 1));
         let w = g.input(Matrix::from_rows(&[&[1.0, 0.0, 0.0]]));
         let y = g.matmul(w, xt);
-        let grads = g.backward(y);
-        assert_eq!(grads.get(x).as_slice(), &[1.0, 0.0, 0.0]);
+        let grads = g.backward(y, &[x]);
+        assert_eq!(grads[0].as_slice(), &[1.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -925,10 +1005,10 @@ mod tests {
         let q = g.div(a, b);
         assert_eq!(g.value(q).as_slice(), &[3.0, 0.25]);
         let loss = g.sum_all(q);
-        let grads = g.backward(loss);
+        let grads = g.backward(loss, &[a, b]);
         // d/da = 1/b; d/db = -a/b².
-        assert!(grads.get(a).max_abs_diff(&Matrix::from_rows(&[&[0.5, 0.25]])) < 1e-12);
-        assert!(grads.get(b).max_abs_diff(&Matrix::from_rows(&[&[-1.5, -0.0625]])) < 1e-12);
+        assert!(grads[0].max_abs_diff(&Matrix::from_rows(&[&[0.5, 0.25]])) < 1e-12);
+        assert!(grads[1].max_abs_diff(&Matrix::from_rows(&[&[-1.5, -0.0625]])) < 1e-12);
     }
 
     #[test]
@@ -938,8 +1018,8 @@ mod tests {
         let y = g.log(x);
         assert!((g.value(y)[(0, 1)] - 4.0f64.ln()).abs() < 1e-12);
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        assert!(grads.get(x).max_abs_diff(&Matrix::from_rows(&[&[1.0, 0.25]])) < 1e-12);
+        let grads = g.backward(loss, &[x]);
+        assert!(grads[0].max_abs_diff(&Matrix::from_rows(&[&[1.0, 0.25]])) < 1e-12);
     }
 
     #[test]
@@ -949,8 +1029,8 @@ mod tests {
         let y = g.clamp_min(x, 1.0);
         assert_eq!(g.value(y).as_slice(), &[1.0, 2.0]);
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(x).as_slice(), &[0.0, 1.0]);
+        let grads = g.backward(loss, &[x]);
+        assert_eq!(grads[0].as_slice(), &[0.0, 1.0]);
     }
 
     #[test]
@@ -974,8 +1054,48 @@ mod tests {
         let a = g.affine(x, 2.0, 1.0);
         let r = g.relu(a);
         let y = g.tanh(r);
-        let grads = g.backward(y);
+        let grads = g.backward(y, &[x]);
         let expected = (1.0 - (3.0f64).tanh().powi(2)) * 2.0;
-        assert!((grads.get(x).item() - expected).abs() < 1e-12);
+        assert!((grads[0].item() - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn backward_skips_what_no_wrt_leaf_needs() {
+        // x is data: the product's `g·Wᵀ` into it is never needed, and a
+        // data-only subgraph (x·s) is not swept at all.
+        let mut g = Graph::new();
+        let x = g.input(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let w = g.input(Matrix::from_rows(&[&[0.5], &[-1.0]]));
+        let s = g.input(Matrix::eye(2));
+        let xs = g.matmul(x, s);
+        let y = g.matmul(xs, w);
+        let loss = g.sum_all(y);
+        let grads = g.backward(loss, &[w]);
+        // ∂/∂w = (x·s)ᵀ·1 = column sums of x.
+        assert_eq!(grads[0].as_slice(), &[4.0, 6.0]);
+        // The same sweep asked for x and s too gives w the same bits.
+        let all = g.backward(loss, &[x, w, s]);
+        assert_eq!(all[1].as_slice(), grads[0].as_slice());
+        // ∂/∂x = 1·wᵀ·sᵀ: every row is wᵀ.
+        assert_eq!(all[0].as_slice(), &[0.5, -1.0, 0.5, -1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a leaf")]
+    fn backward_wrt_must_name_leaves() {
+        let mut g = Graph::new();
+        let x = g.input(Matrix::scalar(1.0));
+        let y = g.tanh(x);
+        let loss = g.sum_all(y);
+        g.backward(loss, &[y]);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn backward_wrt_must_not_repeat() {
+        let mut g = Graph::new();
+        let x = g.input(Matrix::scalar(1.0));
+        let loss = g.sq_frobenius(x);
+        g.backward(loss, &[x, x]);
     }
 }

@@ -31,7 +31,7 @@ pub mod plan;
 
 pub use ams_runtime as runtime;
 pub use ams_runtime::{Backend, BackendChoice, Element, RuntimeError, SimdSeq, Workspace};
-pub use graph::{Gradients, Graph, Var};
+pub use graph::{Graph, Var};
 pub use linalg::{cholesky, ridge_solve, solve_lu, solve_spd, LinalgError};
 pub use matrix::Matrix;
 pub use optim::{Adam, AdamState, Sgd};

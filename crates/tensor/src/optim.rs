@@ -152,9 +152,7 @@ mod tests {
             let t = g.input(target.clone());
             let d = g.sub(w, t);
             let loss = g.sq_frobenius(d);
-            let grads = g.backward(loss);
-            let gw = grads.get(w);
-            optimizer(&mut params, &[gw]);
+            optimizer(&mut params, &g.backward(loss, &[w]));
         }
         params[0].max_abs_diff(&target)
     }
@@ -211,9 +209,7 @@ mod tests {
                 let t = g.input(target.clone());
                 let d = g.sub(w, t);
                 let loss = g.sq_frobenius(d);
-                let grads = g.backward(loss);
-                let gw = grads.get(w);
-                adam.step(&mut params, &[gw]);
+                adam.step(&mut params, &g.backward(loss, &[w]));
             }
             params.remove(0)
         };

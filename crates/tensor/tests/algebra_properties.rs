@@ -68,8 +68,8 @@ proptest! {
         let x = g.input(a);
         let y = g.scale(x, alpha);
         let loss = g.sum_all(y);
-        let grads = g.backward(loss);
-        for &v in grads.get(x).as_slice() {
+        let grads = g.backward(loss, &[x]);
+        for &v in grads[0].as_slice() {
             prop_assert!((v - alpha).abs() < 1e-12);
         }
     }
@@ -83,9 +83,9 @@ proptest! {
         let w = g.input(w0.clone());
         let y = g.matmul(x, w);
         let loss = g.sq_frobenius(y);
-        let grads = g.backward(loss);
+        let grads = g.backward(loss, &[x]);
         let expected = x0.matmul(&w0).matmul(&w0.t()).scale(2.0);
-        prop_assert!(grads.get(x).max_abs_diff(&expected) < 1e-8);
+        prop_assert!(grads[0].max_abs_diff(&expected) < 1e-8);
     }
 
     /// Backward through add/sub chains keeps gradient magnitudes exact:
@@ -98,11 +98,11 @@ proptest! {
         let s = g.add(av, bv);
         let d = g.sub(s, bv);
         let loss = g.sum_all(d);
-        let grads = g.backward(loss);
-        for &v in grads.get(av).as_slice() {
+        let grads = g.backward(loss, &[av, bv]);
+        for &v in grads[0].as_slice() {
             prop_assert!((v - 1.0).abs() < 1e-12);
         }
-        for &v in grads.get(bv).as_slice() {
+        for &v in grads[1].as_slice() {
             prop_assert!(v.abs() < 1e-12);
         }
     }

@@ -1,6 +1,8 @@
 //! The tape on the runtime: its workspace arena stays balanced across
-//! reset/re-run cycles, and its matmul backward is bit-identical to the
-//! naive reference on materialised transposes, on `Seq` and `Par`.
+//! reset/re-run cycles, its matmul backward is bit-identical to the
+//! naive reference on materialised transposes, on `Seq` and `Par`, and
+//! a backward sweep asked for some leaves gives each the same bits as
+//! one asked for every leaf.
 
 use std::sync::Arc;
 
@@ -12,8 +14,9 @@ fn mat(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| f(i / cols, i % cols)).collect())
 }
 
-/// Record a graph that uses every op kind and return its 1×1 loss.
-fn every_op(g: &mut Graph) -> Var {
+/// Record a graph that uses every op kind and return its leaves and
+/// its 1×1 loss.
+fn every_op(g: &mut Graph) -> ([Var; LEAVES], Var) {
     let x = g.input(mat(4, 3, |r, c| (r as f64 - 1.5) * 0.4 + c as f64 * 0.3));
     let w = g.input(mat(3, 2, |r, c| (r + 2 * c) as f64 * 0.25 - 0.5));
     let bias = g.input(Matrix::from_rows(&[&[0.1, -0.2]]));
@@ -44,7 +47,7 @@ fn every_op(g: &mut Graph) -> Var {
     let agg = g.graph_attention(u, v, af, &edges, 0.2);
     let cat = g.concat_cols(&[agg, l]);
     let tr = g.transpose(cat);
-    let dropped = g.dropout(cat, &keep);
+    let dropped = g.dropout(cat, keep);
     let sel = g.select_rows(dropped, &[0, 2, 2, 3]);
     let beta = g.matmul(sel, wb);
     let pred = g.rowwise_dot(sel, beta);
@@ -55,8 +58,11 @@ fn every_op(g: &mut Graph) -> Var {
     let total = g.sum_all(tr);
     let loss = g.add(fit, spread);
     let loss = g.add(loss, reg);
-    g.add(loss, total)
+    ([x, w, bias, a1, a2, wb, y], g.add(loss, total))
 }
+
+/// Leaves recorded by [`every_op`].
+const LEAVES: usize = 7;
 
 #[test]
 fn reset_keeps_the_workspace_arena_balanced() {
@@ -67,8 +73,8 @@ fn reset_keeps_the_workspace_arena_balanced() {
         for _ in 0..3 {
             g.reset();
             let after_reset = g.workspace_pooled();
-            let loss = every_op(&mut g);
-            g.backward(loss);
+            let (leaves, loss) = every_op(&mut g);
+            g.backward(loss, &leaves);
             cycles.push((after_reset, g.workspace_pooled(), g.workspace_counters().0));
         }
         assert_eq!(cycles[0].0, 0, "a fresh graph starts with an empty arena");
@@ -138,9 +144,36 @@ proptest! {
             // d(sum(C ⊙ G))/dC = 1 · G exactly, so the matmul sees G.
             let weighted = g.mul(c, gv);
             let loss = g.sum_all(weighted);
-            let grads = g.backward(loss);
-            assert_bits_eq(&want_ga, &grads.get(av), &format!("{label} ga"))?;
-            assert_bits_eq(&want_gb, &grads.get(bv), &format!("{label} gb"))?;
+            let grads = g.backward(loss, &[av, bv]);
+            assert_bits_eq(&want_ga, &grads[0], &format!("{label} ga"))?;
+            assert_bits_eq(&want_gb, &grads[1], &format!("{label} gb"))?;
+        }
+    }
+
+    /// A sweep asked for a random subset of [`every_op`]'s leaves, in a
+    /// random order, returns one gradient per requested leaf, in that
+    /// order, each bit-identical to the one a sweep asked for every leaf
+    /// gives: skipping the work no requested leaf needs moves no bit.
+    #[test]
+    fn backward_wrt_a_subset_keeps_every_bit(
+        keys in prop::collection::vec(0.0f64..1.0, LEAVES),
+        cut in 0.0f64..1.0,
+    ) {
+        for backend in [Arc::new(Seq) as Arc<dyn Backend>, Arc::new(Par::new(2))] {
+            let label = backend.name();
+            let mut g = Graph::with_backend(backend);
+            let (leaves, loss) = every_op(&mut g);
+            let all = g.backward(loss, &leaves);
+            // Requested: the leaves whose key is below `cut`, by key.
+            let mut order: Vec<usize> = (0..LEAVES).filter(|&i| keys[i] < cut).collect();
+            order.sort_by(|&i, &j| keys[i].total_cmp(&keys[j]));
+            let wrt: Vec<Var> = order.iter().map(|&i| leaves[i]).collect();
+            let some = g.backward(loss, &wrt);
+            prop_assert_eq!(some.len(), wrt.len());
+            for (&i, grad) in order.iter().zip(&some) {
+                prop_assert_eq!(grad.shape(), all[i].shape());
+                assert_bits_eq(all[i].as_slice(), grad, &format!("{label} leaf {i}"))?;
+            }
         }
     }
 }
