@@ -61,15 +61,6 @@ impl Fact {
             _ => None,
         }
     }
-
-    /// What this fact's middle tier means in human output.
-    pub fn guarded_name(self) -> &'static str {
-        match self {
-            Fact::Panic => "guarded",
-            Fact::Alloc => "cold",
-            Fact::Block => "bounded",
-        }
-    }
 }
 
 /// Lattice level of a fact. Ordered, so `max` is the lattice join.

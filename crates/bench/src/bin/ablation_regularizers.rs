@@ -7,13 +7,12 @@
 //! both techniques as overfitting control for the generated slave
 //! models; this bench quantifies that on the transaction panel.
 
-use ams_bench::exp::{run_cached_seed, Dataset, DATA_SEED, MODEL_SEED, N_SEEDS};
+use ams_bench::exp::{Dataset, DATA_SEED, MODEL_SEED, N_SEEDS};
 use ams_core::AmsConfig;
-use ams_eval::ModelKind;
+use ams_eval::{run_model, EvalOptions, ModelKind};
 
 fn main() {
     let dataset = Dataset::Transaction;
-    let panel = dataset.panel();
     let base = AmsConfig { seed: MODEL_SEED, ..Default::default() };
     let variants: Vec<(&str, AmsConfig)> = vec![
         ("AMS (full)", base.clone()),
@@ -22,29 +21,18 @@ fn main() {
         ("Γ₁ only (γ=1, λ_slg=0)", AmsConfig { gamma: 1.0, lambda_slg: 0.0, ..base.clone() }),
         ("global only (γ=0)", AmsConfig { gamma: 0.0, ..base.clone() }),
     ];
-    let _ = &panel;
     println!("Regularizer ablation on {} dataset (mean over {N_SEEDS} seeds)", dataset.name());
     println!("{:<36} {:>9} {:>9}", "Variant", "BA", "SR");
     for (name, config) in variants {
-        // Cache key comes from the model name; vary it per variant via
-        // a wrapper directory.
-        std::env::set_var(
-            "AMS_RESULTS_DIR",
-            format!("results/ablation_regularizers/{}", sanitize(name)),
-        );
         let kind = ModelKind::Ams { config, graph_k: 5 };
         let (mut ba, mut sr) = (0.0, 0.0);
         for seed in DATA_SEED..DATA_SEED + N_SEEDS {
             eprintln!("  running {name} (seed {seed}) ...");
             let panel = dataset.panel_for_seed(seed);
-            let cv = run_cached_seed(dataset, &panel, &kind, false, seed);
+            let cv = run_model(&panel, &kind, &EvalOptions::paper_for(&panel));
             ba += cv.mean_ba();
             sr += cv.mean_sr();
         }
         println!("{:<36} {:>9.3} {:>9.4}", name, ba / N_SEEDS as f64, sr / N_SEEDS as f64);
     }
-}
-
-fn sanitize(s: &str) -> String {
-    s.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }

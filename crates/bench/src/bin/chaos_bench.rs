@@ -20,7 +20,7 @@
 //! `AMS_RESULTS_DIR`). Build with `--release`; the latency numbers are
 //! not meaningful in debug.
 
-use ams_bench::exp::results_dir;
+use ams_bench::exp::write_bench;
 use ams_fault::{FaultSite, SeededFaults};
 use ams_serve::demo::train_demo;
 use ams_serve::{BreakerConfig, ModelArtifact, Registry, Server, ServerConfig};
@@ -358,9 +358,5 @@ fn main() {
          \"degraded\": {degraded}, \"error_lines\": {errors}, \
          \"reconnects\": {reconnects}, \"server_survived\": {survived}}}\n}}\n"
     );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_fault.json");
-    std::fs::write(&path, json).expect("write BENCH_fault.json");
-    println!("wrote {}", path.display());
+    write_bench("BENCH_fault.json", &json);
 }

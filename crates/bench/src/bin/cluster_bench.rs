@@ -28,7 +28,7 @@
 //! `results/BENCH_scale.json` (override with `AMS_RESULTS_DIR`). Run
 //! in `--release` after building the `serve` and `router` binaries.
 
-use ams_bench::exp::results_dir;
+use ams_bench::exp::write_bench;
 use ams_cluster::ShardMap;
 use ams_fault::mix64;
 use ams_serve::demo::train_demo;
@@ -516,10 +516,6 @@ fn main() {
          \"corrupt_artifact\": {{\"refused_at_startup\": true}},\n  \
          \"total_requests\": {total}\n}}\n"
     );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_scale.json");
-    std::fs::write(&path, json).expect("write BENCH_scale.json");
-    println!("wrote {}", path.display());
+    write_bench("BENCH_scale.json", &json);
     let _ = std::fs::remove_dir_all(&tmp);
 }

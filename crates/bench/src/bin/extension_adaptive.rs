@@ -3,9 +3,9 @@
 //! semi-lazy local-regression approach and a passive online-RLS model
 //! — on the transaction panel.
 
-use ams_bench::exp::{run_cached_seed, Dataset, DATA_SEED, MODEL_SEED, N_SEEDS};
+use ams_bench::exp::{Dataset, DATA_SEED, MODEL_SEED, N_SEEDS};
 use ams_core::AmsConfig;
-use ams_eval::ModelKind;
+use ams_eval::{run_model, EvalOptions, ModelKind};
 
 fn main() {
     let dataset = Dataset::Transaction;
@@ -31,15 +31,8 @@ fn main() {
         let (mut ba, mut sr) = (0.0, 0.0);
         for seed in DATA_SEED..DATA_SEED + N_SEEDS {
             eprintln!("  running {label} (seed {seed}) ...");
-            std::env::set_var(
-                "AMS_RESULTS_DIR",
-                format!(
-                    "results/extension_adaptive/{}",
-                    label.replace([' ', '(', ')', '=', ',', '.'], "_")
-                ),
-            );
             let panel = dataset.panel_for_seed(seed);
-            let cv = run_cached_seed(dataset, &panel, kind, false, seed);
+            let cv = run_model(&panel, kind, &EvalOptions::paper_for(&panel));
             ba += cv.mean_ba();
             sr += cv.mean_sr();
         }

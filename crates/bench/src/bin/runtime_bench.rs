@@ -10,7 +10,7 @@
 //! kernels plus dispatch overhead, which is exactly what the JSON will
 //! report. The `cpus` field records what the run actually had.
 
-use ams_bench::exp::results_dir;
+use ams_bench::exp::write_bench;
 use ams_core::{AmsConfig, AmsModel, QuarterBatch};
 use ams_graph::CompanyGraph;
 use ams_serve::demo::train_demo;
@@ -172,9 +172,5 @@ fn main() {
         matmul_rows.join(",\n"),
         bundle.test_x.rows(),
     );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_runtime.json");
-    std::fs::write(&path, json).expect("write BENCH_runtime.json");
-    println!("wrote {}", path.display());
+    write_bench("BENCH_runtime.json", &json);
 }

@@ -15,7 +15,7 @@
 //! `AMS_RESULTS_DIR`). Build with `--release`; parse-bound timings are
 //! meaningless in debug.
 
-use ams_bench::exp::{results_dir, DATA_SEED};
+use ams_bench::exp::{write_bench, DATA_SEED};
 use ams_data::io::{read_csv, write_csv_source};
 use ams_data::{PanelSource, SynthConfig, SynthStream};
 use ams_store::{write_source, StoreReader};
@@ -169,9 +169,5 @@ fn main() {
         "{{\n  \"seed\": {DATA_SEED}, \"lookups_averaged\": {LOOKUPS},\n  \"sizes\": [\n{}\n  ]\n}}\n",
         entries.join(",\n"),
     );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_store.json");
-    std::fs::write(&path, json).expect("write BENCH_store.json");
-    println!("wrote {}", path.display());
+    write_bench("BENCH_store.json", &json);
 }

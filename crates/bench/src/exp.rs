@@ -1,17 +1,18 @@
-//! Shared experiment plumbing for the table/figure binaries.
+//! Shared experiment plumbing for the experiment binaries.
 //!
-//! Every binary reproduces one paper artifact from the same two panels
-//! (fixed data seed) and the same model lineup (fixed model seed), so
-//! results are bit-reproducible and Tables I/II/IV/V all describe the
-//! same underlying CV runs. CV outputs are cached as JSON under
-//! `results/` (override with `AMS_RESULTS_DIR`) because several tables
-//! reuse them.
+//! Every binary reproduces paper artifacts from the same two panels
+//! (fixed data seeds) and the same model lineup (fixed model seed), so
+//! results are bit-reproducible. Tables I–V and Figures 6/7 all read one
+//! set of cross-validation cells: [`DatasetRuns::compute`] runs each
+//! cell once, in memory, and the `paper` binary renders every table
+//! from it. Nothing is read back from disk.
 
 use std::fs;
 use std::path::PathBuf;
 
-use ams_backtest::{MarketConfig, MarketSim, Signals};
+use ams_backtest::{BacktestResult, MarketConfig, MarketSim, Signals};
 use ams_data::{generate, Panel, SynthConfig};
+use ams_eval::ablation::AblationRow;
 use ams_eval::{run_model, CvResult, EvalOptions, ModelKind};
 
 /// Base data seed used by every experiment binary.
@@ -65,70 +66,106 @@ impl Dataset {
     }
 }
 
-/// Where cached CV results live.
+/// Where the bench binaries write their outputs (override with
+/// `AMS_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
     std::env::var_os("AMS_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-fn cache_path(dataset: Dataset, model: &str, drop_alt: bool, seed: u64) -> PathBuf {
-    let suffix = if drop_alt { "-na" } else { "" };
-    results_dir().join(format!(
-        "{}/seed{}/{}{}.json",
-        dataset.name(),
-        seed,
-        model.replace(['[', ']'], "_"),
-        suffix
-    ))
+/// Write a `BENCH_*.json` record into [`results_dir`] and say where.
+pub fn write_bench(file: &str, json: &str) {
+    let dir = results_dir();
+    fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join(file);
+    fs::write(&path, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {}", path.display());
 }
 
-/// Run one model on a dataset with JSON caching. Delete `results/` to
-/// force recomputation.
-pub fn run_cached(dataset: Dataset, panel: &Panel, kind: &ModelKind, drop_alt: bool) -> CvResult {
-    run_cached_seed(dataset, panel, kind, drop_alt, DATA_SEED)
+/// Whether a lineup model learns from features: the eight models of
+/// Tables III–V. ARIMA never sees alternative data and QoQ/YoY *are*
+/// alternative-data rules, so neither has a `-na` variant or a backtest.
+pub(crate) fn is_learned(kind: &ModelKind) -> bool {
+    !matches!(kind, ModelKind::Arima(_) | ModelKind::Naive { .. })
 }
 
-/// [`run_cached`] for an explicit panel seed (the panel must match).
-pub fn run_cached_seed(
-    dataset: Dataset,
-    panel: &Panel,
-    kind: &ModelKind,
-    drop_alt: bool,
-    seed: u64,
-) -> CvResult {
-    let path = cache_path(dataset, &kind.name(), drop_alt, seed);
-    if let Ok(bytes) = fs::read(&path) {
-        if let Ok(cv) = serde_json::from_slice::<CvResult>(&bytes) {
-            return cv;
+/// Every cross-validation cell the paper's evaluation reads on one
+/// dataset, for the [`N_SEEDS`] panels `DATA_SEED..DATA_SEED+N_SEEDS`.
+pub struct DatasetRuns {
+    /// The dataset.
+    pub dataset: Dataset,
+    /// `with[m][s]`: Table I/II lineup model `m` on panel seed
+    /// `DATA_SEED + s`.
+    with: Vec<Vec<CvResult>>,
+    /// `without[m][s]`: the same cell with the alternative-data columns
+    /// dropped; empty for the models that are not learned.
+    without: Vec<Vec<CvResult>>,
+}
+
+impl DatasetRuns {
+    /// Run every cell once: the Table I/II lineup with alternative
+    /// data, and its learned models without it.
+    pub fn compute(dataset: Dataset) -> Self {
+        let lineup = ModelKind::paper_lineup(dataset.n_channels(), MODEL_SEED);
+        let mut with = vec![Vec::new(); lineup.len()];
+        let mut without = vec![Vec::new(); lineup.len()];
+        for seed in DATA_SEED..DATA_SEED + N_SEEDS {
+            let panel = dataset.panel_for_seed(seed);
+            let opts = EvalOptions::paper_for(&panel);
+            let na_opts = EvalOptions { drop_alternative: true, ..opts.clone() };
+            for (m, kind) in lineup.iter().enumerate() {
+                eprintln!("  running {} on {} (seed {seed}) ...", kind.name(), dataset.name());
+                with[m].push(run_model(&panel, kind, &opts));
+                if is_learned(kind) {
+                    without[m].push(run_model(&panel, kind, &na_opts));
+                }
+            }
         }
+        Self { dataset, with, without }
     }
-    let opts = EvalOptions { drop_alternative: drop_alt, ..EvalOptions::paper_for(panel) };
-    let cv = run_model(panel, kind, &opts);
-    if let Some(parent) = path.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    let _ = fs::write(&path, serde_json::to_vec_pretty(&cv).expect("serialize CvResult"));
-    cv
-}
 
-/// The full Table I/II lineup for a dataset, cached, averaged over
-/// [`N_SEEDS`] panel realizations: each returned `CvResult` contains
-/// the concatenated per-quarter results of every seed (so BA/SR means
-/// and t-tests aggregate over all seed × fold cells).
-pub fn run_lineup(dataset: Dataset) -> (Panel, Vec<CvResult>) {
-    let lineup = ModelKind::paper_lineup(dataset.n_channels(), MODEL_SEED);
-    let mut merged: Vec<CvResult> =
-        lineup.iter().map(|k| CvResult { model: k.name(), per_quarter: Vec::new() }).collect();
-    for seed in DATA_SEED..DATA_SEED + N_SEEDS {
-        let panel = dataset.panel_for_seed(seed);
-        for (kind, acc) in lineup.iter().zip(&mut merged) {
-            eprintln!("  running {} on {} (seed {seed}) ...", kind.name(), dataset.name());
-            let cv = run_cached_seed(dataset, &panel, kind, false, seed);
-            acc.per_quarter.extend(cv.per_quarter);
-        }
+    /// The learned models' cells, `(with, without)` per model.
+    fn learned(&self) -> impl Iterator<Item = (&[CvResult], &[CvResult])> {
+        self.with
+            .iter()
+            .zip(&self.without)
+            .filter(|(_, without)| !without.is_empty())
+            .map(|(with, without)| (with.as_slice(), without.as_slice()))
     }
-    (dataset.panel(), merged)
+
+    /// The Table I/II input: each lineup model's per-quarter results
+    /// over every seed, concatenated, so BA/SR means and t-tests
+    /// aggregate over all seed × fold cells.
+    pub fn merged(&self) -> Vec<CvResult> {
+        self.with
+            .iter()
+            .map(|cells| CvResult {
+                model: cells[0].model.clone(),
+                per_quarter: cells.iter().flat_map(|cv| cv.per_quarter.iter().cloned()).collect(),
+            })
+            .collect()
+    }
+
+    /// The Table III rows, one per learned model.
+    pub fn ablation_rows(&self) -> Vec<AblationRow> {
+        self.learned().map(|(with, without)| AblationRow::from_cells(with, without)).collect()
+    }
+
+    /// The Tables IV/V backtests (and Figures 6/7): the base seed's
+    /// learned-model cells, every strategy trading on the same
+    /// simulated price paths.
+    pub fn backtests(&self) -> Vec<BacktestResult> {
+        let panel = self.dataset.panel();
+        let mut market: Option<MarketSim> = None;
+        self.learned()
+            .map(|(with, _)| {
+                let (quarters, signals) = signals_from_cv(&panel, &with[0]);
+                let sim = market.get_or_insert_with(|| market_for(&panel, &quarters));
+                ams_backtest::run_strategy(&panel, sim, &signals, &with[0].model, 100.0)
+            })
+            .collect()
+    }
 }
 
 /// Average each model's per-quarter metric by calendar quarter across
@@ -157,18 +194,9 @@ pub fn per_quarter_means(cv: &CvResult) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-/// The models entering the backtest (paper's Tables IV/V drop
-/// ARIMA/QoQ/YoY and keep the eight learned models).
-pub fn backtest_lineup(dataset: Dataset) -> Vec<ModelKind> {
-    ModelKind::paper_lineup(dataset.n_channels(), MODEL_SEED)
-        .into_iter()
-        .filter(|k| !matches!(k, ModelKind::Arima(_) | ModelKind::Naive { .. }))
-        .collect()
-}
-
 /// Convert a CV result into per-window trading signals aligned with the
 /// panel's company ids. Quarters are the CV test quarters in order.
-pub fn signals_from_cv(panel: &Panel, cv: &CvResult) -> (Vec<usize>, Signals) {
+fn signals_from_cv(panel: &Panel, cv: &CvResult) -> (Vec<usize>, Signals) {
     let mut quarters = Vec::with_capacity(cv.per_quarter.len());
     let mut signals = Vec::with_capacity(cv.per_quarter.len());
     for q in &cv.per_quarter {
@@ -184,35 +212,12 @@ pub fn signals_from_cv(panel: &Panel, cv: &CvResult) -> (Vec<usize>, Signals) {
 }
 
 /// The shared market simulation for a dataset's backtest window.
-pub fn market_for(panel: &Panel, quarters: &[usize]) -> MarketSim {
+fn market_for(panel: &Panel, quarters: &[usize]) -> MarketSim {
     MarketSim::simulate(panel, quarters, MarketConfig { seed: DATA_SEED, ..Default::default() })
 }
 
-/// Labels of the per-quarter columns (map-query tables show them).
-pub fn quarter_labels(cv: &CvResult) -> Vec<String> {
-    cv.per_quarter.iter().map(|q| format!("{}", q.quarter)).collect()
-}
-
-/// Run the §IV-F backtest for every learned model on a dataset and
-/// return `(results, ams_index)`; every strategy is evaluated on the
-/// same simulated price paths.
-pub fn run_backtests(dataset: Dataset) -> Vec<ams_backtest::BacktestResult> {
-    let panel = dataset.panel();
-    let kinds = backtest_lineup(dataset);
-    let mut results = Vec::new();
-    let mut market: Option<MarketSim> = None;
-    for kind in &kinds {
-        eprintln!("  backtesting {} on {} ...", kind.name(), dataset.name());
-        let cv = run_cached(dataset, &panel, kind, false);
-        let (quarters, signals) = signals_from_cv(&panel, &cv);
-        let sim = market.get_or_insert_with(|| market_for(&panel, &quarters));
-        results.push(ams_backtest::run_strategy(&panel, sim, &signals, &kind.name(), 100.0));
-    }
-    results
-}
-
 /// Write every model's daily asset curve to a CSV (day, model columns).
-pub fn write_curves_csv(path: &std::path::Path, results: &[ams_backtest::BacktestResult]) {
+pub fn write_curves_csv(path: &std::path::Path, results: &[BacktestResult]) {
     if let Some(parent) = path.parent() {
         let _ = fs::create_dir_all(parent);
     }
@@ -250,40 +255,27 @@ pub fn sparkline(xs: &[f64]) -> String {
     xs.iter().step_by(step).map(|&x| BARS[(((x - lo) / range) * 7.0).round() as usize]).collect()
 }
 
-/// Print a Table IV/V style backtest report.
-pub fn print_backtest_table(
-    title: &str,
-    dataset: Dataset,
-    results: &[ams_backtest::BacktestResult],
-) {
-    let ams = results.iter().find(|r| r.model == "AMS").expect("AMS in lineup").clone();
-    println!(
-        "
-{title} — backtest on {} dataset",
-        dataset.name()
-    );
-    println!(
-        "{:<12} {:>11} {:>9} {:>13} {:>9}",
+/// Render a Table IV/V style backtest report.
+pub fn format_backtest_table(title: &str, dataset: Dataset, results: &[BacktestResult]) -> String {
+    let ams = results.iter().find(|r| r.model == "AMS").expect("AMS in lineup");
+    let mut out = format!("\n{title} — backtest on {} dataset\n", dataset.name());
+    out += &format!(
+        "{:<12} {:>11} {:>9} {:>13} {:>9}\n",
         "Model", "Earning(%)", "MDD(%)", "Sharpe Ratio", "AER(%)"
     );
     for r in results {
-        if r.model == "AMS" {
-            println!(
-                "{:<12} {:>11.4} {:>9.4} {:>13} {:>9}",
-                r.model, r.earning_pct, r.mdd_pct, "-", "-"
-            );
+        let (sharpe, aer) = if r.model == "AMS" {
+            ("-".to_string(), "-".to_string())
         } else {
-            let sharpe = ams_backtest::sharpe_vs(r, &ams).map_or("-".into(), |s| format!("{s:.4}"));
-            println!(
-                "{:<12} {:>11.4} {:>9.4} {:>13} {:>9.4}",
-                r.model,
-                r.earning_pct,
-                r.mdd_pct,
-                sharpe,
-                ams_backtest::aer_vs(r, &ams)
-            );
-        }
+            let sharpe = ams_backtest::sharpe_vs(r, ams).map_or("-".into(), |s| format!("{s:.4}"));
+            (sharpe, format!("{:.4}", ams_backtest::aer_vs(r, ams)))
+        };
+        out += &format!(
+            "{:<12} {:>11.4} {:>9.4} {:>13} {:>9}\n",
+            r.model, r.earning_pct, r.mdd_pct, sharpe, aer
+        );
     }
+    out
 }
 
 #[cfg(test)]
@@ -381,11 +373,34 @@ mod tests {
     }
 
     #[test]
-    fn backtest_lineup_drops_naive_and_arima() {
-        let lineup = backtest_lineup(Dataset::Transaction);
-        assert_eq!(lineup.len(), 8);
-        assert!(lineup
-            .iter()
-            .all(|k| { !matches!(k, ModelKind::Arima(_) | ModelKind::Naive { .. }) }));
+    fn learned_models_are_the_eight_without_naive_and_arima() {
+        let lineup = ModelKind::paper_lineup(2, MODEL_SEED);
+        let learned: Vec<String> =
+            lineup.iter().filter(|k| is_learned(k)).map(|k| k.name()).collect();
+        assert_eq!(learned.len(), 8);
+        assert!(learned.iter().all(|n| n != "ARIMA" && !n.contains("[ch")));
+    }
+
+    #[test]
+    fn runs_merge_seeds_and_pair_ablation_cells() {
+        let seed = |ba: f64| {
+            let mut cv = fake_cv();
+            cv.per_quarter.iter_mut().for_each(|q| q.ba = ba);
+            cv
+        };
+        let runs = DatasetRuns {
+            dataset: Dataset::Transaction,
+            with: vec![vec![seed(50.0), seed(60.0)], vec![seed(30.0), seed(30.0)]],
+            without: vec![vec![seed(40.0), seed(44.0)], Vec::new()],
+        };
+        let merged = runs.merged();
+        assert_eq!(merged.len(), 2);
+        assert_eq!(merged[0].per_quarter.len(), 8, "two seeds of four quarters each");
+        assert!((merged[0].mean_ba() - 55.0).abs() < 1e-12);
+        let rows = runs.ablation_rows();
+        assert_eq!(rows.len(), 1, "only the model with -na cells is ablated");
+        assert_eq!(rows[0].model, "M-na");
+        assert!((rows[0].ba_with - 55.0).abs() < 1e-12);
+        assert!((rows[0].ba_m - (42.0 - 55.0)).abs() < 1e-12);
     }
 }

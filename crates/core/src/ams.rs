@@ -649,6 +649,10 @@ impl AmsModel {
         resume: bool,
     ) -> Result<f64, FitHalted> {
         let (d, edges) = Self::check_fit_inputs(graph, train);
+        // The graph never changes during a fit: install it once, so the
+        // validation predictions below can run and every return,
+        // `FitHalted` included, leaves the mask and edges in step.
+        self.set_graph(&edges);
 
         // Phase 1: anchored LR (Eq. 5).
         let b_acr = self.fit_anchored(train, d);
@@ -705,7 +709,6 @@ impl AmsModel {
         // selection state from the checkpoint instead.)
         if let (0, Some(vb)) = (start_epoch, val) {
             self.store_params(&params);
-            self.set_graph(&edges);
             let pred = self.predict(&vb.x);
             let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
             best = Some((vmse, params.clone()));
@@ -744,7 +747,6 @@ impl AmsModel {
             if let Some(vb) = val {
                 if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.state.config.epochs {
                     self.store_params(&params);
-                    self.set_graph(&edges);
                     let pred = self.predict(&vb.x);
                     let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
                     if best.as_ref().is_none_or(|(b, _)| vmse < *b) {
@@ -790,7 +792,6 @@ impl AmsModel {
         } else {
             self.store_params(&params);
         }
-        self.set_graph(&edges);
         Ok(best_val)
     }
 

@@ -10,7 +10,7 @@
 
 use ams_data::Panel;
 
-use crate::harness::{run_model, EvalOptions, ModelKind};
+use crate::harness::{run_model, CvResult, EvalOptions, ModelKind};
 
 /// One row of the Table III style report.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -31,6 +31,31 @@ pub struct AblationRow {
     pub sr_without: f64,
 }
 
+impl AblationRow {
+    /// The row of one model from its cells with (`with[s]`) and without
+    /// (`without[s]`) alternative data on each panel `s`: the panel
+    /// means of BA and SR, and their change.
+    pub fn from_cells(with: &[CvResult], without: &[CvResult]) -> Self {
+        let n = with.len() as f64;
+        let panel_mean = |cells: &[CvResult], f: fn(&CvResult) -> f64| {
+            cells.iter().fold(0.0, |acc, cv| acc + f(cv)) / n
+        };
+        let (ba_with, ba_without) =
+            (panel_mean(with, CvResult::mean_ba), panel_mean(without, CvResult::mean_ba));
+        let (sr_with, sr_without) =
+            (panel_mean(with, CvResult::mean_sr), panel_mean(without, CvResult::mean_sr));
+        AblationRow {
+            model: format!("{}-na", with[0].model),
+            sr_m: sr_without - sr_with,
+            ba_m: ba_without - ba_with,
+            ba_with,
+            ba_without,
+            sr_with,
+            sr_without,
+        }
+    }
+}
+
 /// Run the ablation for a set of models. QoQ/YoY/ARIMA are skipped:
 /// the first two *are* alternative-data rules (no `-na` variant
 /// exists) and ARIMA never sees alternative data, matching the paper's
@@ -48,15 +73,7 @@ pub fn feature_effectiveness(
         .map(|kind| {
             let with = run_model(panel, kind, &with_opts);
             let without = run_model(panel, kind, &without_opts);
-            AblationRow {
-                model: format!("{}-na", kind.name()),
-                sr_m: without.mean_sr() - with.mean_sr(),
-                ba_m: without.mean_ba() - with.mean_ba(),
-                ba_with: with.mean_ba(),
-                ba_without: without.mean_ba(),
-                sr_with: with.mean_sr(),
-                sr_without: without.mean_sr(),
-            }
+            AblationRow::from_cells(&[with], &[without])
         })
         .collect()
 }

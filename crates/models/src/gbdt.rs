@@ -104,11 +104,6 @@ impl Gbdt {
         Self { config, trees: Vec::new(), base_score: 0.0 }
     }
 
-    /// Number of trees in the fitted ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Total leaves across the ensemble (complexity diagnostic).
     pub fn total_leaves(&self) -> usize {
         self.trees.iter().map(Tree::num_leaves).sum()

@@ -31,12 +31,6 @@ pub fn random_uniform(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut impl
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Standard-normal matrix scaled by `std`.
-pub fn random_normal(rows: usize, cols: usize, std: f64, rng: &mut impl Rng) -> Matrix {
-    let data = (0..rows * cols).map(|_| std * standard_normal(rng)).collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
 /// One standard-normal draw via Box–Muller (keeps us independent of
 /// `rand_distr`, which is not in the approved dependency set).
 pub fn standard_normal(rng: &mut impl Rng) -> f64 {

@@ -82,11 +82,6 @@ impl Matrix {
         Self::from_vec(xs.len(), 1, xs.to_vec())
     }
 
-    /// Row vector from a slice.
-    pub fn row_vector(xs: &[f64]) -> Self {
-        Self::from_vec(1, xs.len(), xs.to_vec())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
