@@ -131,9 +131,9 @@ pub struct QuarterBatch {
 }
 
 /// Serializable snapshot of a fitted [`AmsModel`]: the learned
-/// parameters in structured form plus the dense training-graph mask.
-/// This is the unit the serving artifact embeds — everything needed to
-/// reproduce `predict` without retraining or the autodiff tape.
+/// parameters in structured form. With the company graph the model was
+/// fit on, this is everything needed to reproduce `predict` without
+/// retraining or the autodiff tape; the serving artifact embeds both.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ModelSnapshot {
     /// The configuration the model was trained with.
@@ -144,14 +144,12 @@ pub struct ModelSnapshot {
     pub gat: Vec<GatLayer>,
     /// Generator layers; the last maps to the slave-LR width.
     pub gen: Vec<LinearLayer>,
-    /// Globally optimized assembly component β_c (d×1).
+    /// Globally optimized assembly component β_c (m×1, slave-column
+    /// space).
     pub beta_c: Matrix,
-    /// Anchored LR coefficients B_acr (d×1).
+    /// Anchored LR coefficients B_acr (m×1, slave-column space); `None`
+    /// until `fit`.
     pub b_acr: Option<Matrix>,
-    /// Dense adjacency mask of the training graph (n×n): the graph's
-    /// serialized form. The forward walks the edge list derived from
-    /// it once, at fit or load time.
-    pub mask: Option<Matrix>,
 }
 
 impl ModelSnapshot {
@@ -208,12 +206,12 @@ pub struct TrainingAudit {
 pub struct AmsModel {
     /// Configuration and learned state: exactly what
     /// [`AmsModel::snapshot`] exports. Before `fit` the layers are
-    /// empty and `mask` is `None`.
+    /// empty and `b_acr` is `None`.
     state: ModelSnapshot,
     /// Kernel execution backend resolved from `config.backend`.
     backend: Arc<dyn Backend>,
-    /// The edges of `state.mask`, which graph attention walks; `None`
-    /// exactly when the mask is.
+    /// The edges of the graph the model was fit on, which graph
+    /// attention walks; `None` before `fit`.
     edges: Option<Arc<EdgeList>>,
 }
 
@@ -246,7 +244,6 @@ impl AmsModel {
             gen: Vec::new(),
             beta_c: Matrix::zeros(0, 0),
             b_acr: None,
-            mask: None,
         };
         Self { state, backend, edges: None }
     }
@@ -424,14 +421,6 @@ impl AmsModel {
             assert_eq!(b.y.rows(), n_nodes, "AMS fit: label rows != graph nodes");
         }
         (train[0].x.cols(), Arc::new(edge_list(graph)))
-    }
-
-    /// Install the fitted graph: its dense mask in the snapshot and its
-    /// edge list for the forward.
-    fn set_graph(&mut self, edges: &Arc<EdgeList>) {
-        let n = edges.nodes();
-        self.state.mask = Some(Matrix::from_vec(n, n, edges.to_mask()));
-        self.edges = Some(Arc::clone(edges));
     }
 
     /// Phase 1: the anchored LR on all training samples (Eq. 5), in
@@ -650,9 +639,8 @@ impl AmsModel {
     ) -> Result<f64, FitHalted> {
         let (d, edges) = Self::check_fit_inputs(graph, train);
         // The graph never changes during a fit: install it once, so the
-        // validation predictions below can run and every return,
-        // `FitHalted` included, leaves the mask and edges in step.
-        self.set_graph(&edges);
+        // validation predictions below can run.
+        self.edges = Some(Arc::clone(&edges));
 
         // Phase 1: anchored LR (Eq. 5).
         let b_acr = self.fit_anchored(train, d);
@@ -812,21 +800,29 @@ impl AmsModel {
     }
 
     /// Export the learned state. Usually called after `fit`; an
-    /// untrained model snapshots too (empty layers, `mask: None`), which
-    /// [`AmsModel::from_snapshot`] restores to the same untrained state.
+    /// untrained model snapshots too (empty layers, `b_acr: None`),
+    /// which [`AmsModel::from_snapshot`] restores to the same untrained
+    /// state.
     pub fn snapshot(&self) -> ModelSnapshot {
         self.state.clone()
     }
 
-    /// Rebuild a predict-ready model from an exported snapshot. The
-    /// result is interchangeable with the model that produced the
-    /// snapshot for `predict` / `slave_weights` (bit-for-bit: both run
-    /// the same forward pass over the same parameters).
-    pub fn from_snapshot(state: ModelSnapshot) -> Self {
+    /// Rebuild a predict-ready model from an exported snapshot and the
+    /// graph the model was fit on. The result is interchangeable with
+    /// the model that produced the snapshot for `predict` /
+    /// `slave_weights` (bit-for-bit: both run the same forward pass over
+    /// the same parameters and edges). An unfitted snapshot (no `b_acr`)
+    /// restores to the untrained state, whatever `graph` is.
+    pub fn from_snapshot(state: ModelSnapshot, graph: &CompanyGraph) -> Self {
         let backend = resolve_backend(&state.config);
-        let edges =
-            state.mask.as_ref().map(|m| Arc::new(EdgeList::from_mask(m.as_slice(), m.rows())));
+        let edges = state.b_acr.as_ref().map(|_| Arc::new(edge_list(graph)));
         Self { state, backend, edges }
+    }
+
+    /// The edges of the graph the model was fit on (`None` before
+    /// `fit`).
+    pub fn fitted_edges(&self) -> Option<&EdgeList> {
+        self.edges.as_deref()
     }
 
     fn run_eval(&self, x: &Matrix) -> (Matrix, Matrix, Matrix) {
@@ -1019,7 +1015,7 @@ mod tests {
 
         let json = serde_json::to_string(&model.snapshot()).unwrap();
         let snap: ModelSnapshot = serde_json::from_str(&json).unwrap();
-        let restored = AmsModel::from_snapshot(snap);
+        let restored = AmsModel::from_snapshot(snap, &task.graph);
         let got_pred = restored.predict(&task.test.x);
         let (got_beta, got_beta_v) = restored.slave_weights(&task.test.x);
 
@@ -1136,8 +1132,10 @@ mod tests {
     fn untrained_snapshot_round_trips() {
         let model = AmsModel::new(AmsConfig::default());
         let json = serde_json::to_string(&model.snapshot()).unwrap();
-        let restored = AmsModel::from_snapshot(serde_json::from_str(&json).unwrap());
+        let graph = adaptive_task(2, 2, 93).graph;
+        let restored = AmsModel::from_snapshot(serde_json::from_str(&json).unwrap(), &graph);
         assert!(restored.anchored().is_none());
+        assert!(restored.fitted_edges().is_none());
         assert_eq!(restored.config().seed, AmsConfig::default().seed);
     }
 

@@ -6,7 +6,7 @@
 //! parameter list, Adam's moment buffers and step counter, the xoshiro
 //! dropout-RNG state, and the early-stopping bookkeeping (best
 //! validation tuple + patience counter). Everything else the loop needs
-//! (the anchored LR `B_acr`, the graph mask, the parameter *structure*)
+//! (the anchored LR `B_acr`, the graph's edges, the parameter *structure*)
 //! is a pure function of the training inputs and is recomputed on
 //! resume, which keeps checkpoints small and makes stale-checkpoint
 //! mistakes (resuming against different data) loud rather than subtle.

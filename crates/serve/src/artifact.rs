@@ -12,25 +12,25 @@
 use ams_core::{edge_list, AmsModel, ModelSnapshot};
 use ams_data::Standardizer;
 use ams_graph::CompanyGraph;
-use ams_tensor::runtime::EdgeList;
 use ams_tensor::Matrix;
 
 /// Current artifact layout version. Bump on any breaking change to
-/// [`ModelArtifact`] or the structures it embeds. (Additive `Option`
-/// fields — like `fallback` — do not need a bump: missing fields read
-/// back as `None`.)
-pub const FORMAT_VERSION: u32 = 1;
+/// [`ModelArtifact`] or the structures it embeds. (An additive
+/// `Option` field does not need a bump: a missing field reads back as
+/// `None`.)
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header magic for artifact files written by
 /// [`ModelArtifact::write_file`].
 pub const ARTIFACT_MAGIC: &str = "AMS-ART";
 
-/// The cheap degraded-mode predictor carried inside an artifact: the
-/// anchored LR (a single global linear model, §III-B's `B_acr`) plus
-/// every company's last-good prediction from export time. When the GAT
-/// engine errors, the circuit is open, or the input is out of domain,
-/// the server answers from this instead of failing the request.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// The cheap degraded-mode predictor an engine builds from its
+/// artifact: the anchored LR (a single global linear model, §III-B's
+/// `B_acr`, from the snapshot) plus every company's last-good
+/// prediction from export time ([`ModelArtifact::last_good`]). When the
+/// GAT engine errors, the circuit is open, or the input is out of
+/// domain, the server answers from this instead of failing the request.
+#[derive(Debug, Clone)]
 pub struct FallbackModel {
     /// Anchored-LR weights in slave-column space (`m×1`).
     pub anchor: Matrix,
@@ -44,7 +44,8 @@ impl FallbackModel {
     /// 1. finite slave-space features → anchored-LR dot product;
     /// 2. unusable features but a known company → its last-good
     ///    prediction;
-    /// 3. neither → the cross-company mean of the last-good vector.
+    /// 3. neither → the mean of the finite last-good predictions (0.0
+    ///    when none is finite).
     ///
     /// Always returns a finite number — the whole point of the
     /// fallback is that it cannot itself fail.
@@ -82,8 +83,8 @@ impl FallbackModel {
                 }
             }
         }
-        let n = self.last_good.rows().max(1) as f64;
-        let mean = self.last_good.as_slice().iter().filter(|v| v.is_finite()).sum::<f64>() / n;
+        let finite = || self.last_good.as_slice().iter().filter(|v| v.is_finite());
+        let mean = finite().sum::<f64>() / finite().count() as f64;
         if mean.is_finite() {
             mean
         } else {
@@ -113,11 +114,11 @@ pub struct ModelArtifact {
     /// Monotonically increasing model version within a name.
     pub version: u64,
     /// Learned parameters: node-transform, GAT and generator weights,
-    /// the anchored LR `B_acr`, the assembly `β_c`, the training-graph
-    /// mask and the full [`ams_core::AmsConfig`].
+    /// the anchored LR `B_acr`, the assembly `β_c` and the full
+    /// [`ams_core::AmsConfig`].
     pub snapshot: ModelSnapshot,
-    /// The correlation graph the model was trained on (CSR form; the
-    /// snapshot's dense mask is its materialization).
+    /// The correlation graph the model was trained on (CSR form), which
+    /// graph attention walks.
     pub graph: CompanyGraph,
     /// Train-split standardization stats, when the model was trained on
     /// standardized features. Lets the server accept raw feature rows.
@@ -131,10 +132,10 @@ pub struct ModelArtifact {
     /// The (standardized) feature matrix the slave weights were
     /// materialized at — one row per graph node.
     pub reference_features: Matrix,
-    /// Degraded-mode predictor (anchored LR + last-good predictions).
-    /// `None` in artifacts written before this field existed; the
-    /// engine rebuilds it from the snapshot on load.
-    pub fallback: Option<FallbackModel>,
+    /// Every company's prediction at the reference features (`n×1`),
+    /// materialized at export: the last-good rung of the engine's
+    /// [`FallbackModel`], whose anchored LR is `snapshot.b_acr`.
+    pub last_good: Matrix,
     /// Reproducibility metadata.
     pub provenance: Provenance,
 }
@@ -144,8 +145,9 @@ impl ModelArtifact {
     /// weights by running the master once on `reference_features`.
     ///
     /// # Panics
-    /// Panics if the model is unfitted or `reference_features` has the
-    /// wrong row count (both are caller bugs, not runtime conditions).
+    /// Panics if the model is unfitted, `graph` is not the graph it was
+    /// fit on, or `reference_features` has the wrong row count (all
+    /// caller bugs, not runtime conditions).
     #[allow(clippy::too_many_arguments)] // an export IS the bundling of these inputs
     pub fn export(
         name: &str,
@@ -157,23 +159,23 @@ impl ModelArtifact {
         reference_features: &Matrix,
         provenance: Provenance,
     ) -> Self {
+        let fitted = model.fitted_edges().expect("export before fit");
+        assert!(
+            *fitted == edge_list(graph),
+            "export: `graph` is not the graph the model was fit on"
+        );
         let (slave_weights, _beta_v) = model.slave_weights(reference_features);
-        let snapshot = model.snapshot();
-        let fallback = snapshot.b_acr.as_ref().map(|anchor| FallbackModel {
-            anchor: anchor.clone(),
-            last_good: model.predict(reference_features),
-        });
         Self {
             format_version: FORMAT_VERSION,
             name: name.to_string(),
             version,
-            snapshot,
+            snapshot: model.snapshot(),
             graph: graph.clone(),
             standardizer: standardizer.cloned(),
             feature_names: feature_names.to_vec(),
             slave_weights,
             reference_features: reference_features.clone(),
-            fallback,
+            last_good: model.predict(reference_features),
             provenance,
         }
     }
@@ -269,25 +271,12 @@ impl ModelArtifact {
                 ));
             }
         }
-        match &self.snapshot.mask {
-            Some(mask) if mask.rows() == n && mask.cols() == n => {
-                // The tape walks the mask's edges and the engine the
-                // graph's: they must be one graph, or the two would
-                // serve different models without a word.
-                if EdgeList::from_mask(mask.as_slice(), n) != edge_list(&self.graph) {
-                    return Err(
-                        "artifact: snapshot mask and graph disagree on the edges".to_string()
-                    );
-                }
-            }
-            Some(mask) => {
-                return Err(format!(
-                    "artifact: mask is {}x{} but the graph has {n} nodes",
-                    mask.rows(),
-                    mask.cols()
-                ))
-            }
-            None => return Err("artifact: snapshot has no mask (unfitted model?)".to_string()),
+        if self.last_good.shape() != (n, 1) {
+            return Err(format!(
+                "artifact: last_good is {}x{} but the graph has {n} nodes",
+                self.last_good.rows(),
+                self.last_good.cols()
+            ));
         }
         let d = self.reference_features.cols();
         if let Some(cols) = &self.snapshot.config.slave_cols {
@@ -307,7 +296,16 @@ impl ModelArtifact {
                 self.slave_weights.cols()
             ));
         }
-        Ok(())
+        let m = self.slave_weights.cols();
+        match &self.snapshot.b_acr {
+            Some(b) if b.shape() == (m, 1) => Ok(()),
+            Some(b) => Err(format!(
+                "artifact: b_acr is {}x{} but the slave model has {m} columns",
+                b.rows(),
+                b.cols()
+            )),
+            None => Err("artifact: snapshot has no b_acr (unfitted model?)".to_string()),
+        }
     }
 
     /// Quantize the forward-pass weights to f32 (DESIGN.md §14): every
@@ -315,7 +313,7 @@ impl ModelArtifact {
     /// The result is the plan the engine's mixed-precision batch path
     /// executes, and it serializes standalone via
     /// [`crate::plan::ForwardPlan::to_bytes`].
-    pub fn quantize_f32(&self) -> Result<crate::plan::ForwardPlan<f32>, String> {
+    pub fn quantize_f32(&self) -> crate::plan::ForwardPlan<f32> {
         crate::plan::ForwardPlan::from_artifact(self)
     }
 
@@ -357,38 +355,44 @@ mod tests {
     #[test]
     fn rejects_unknown_format_version() {
         let fx = trained_fixture(32);
-        let mut bumped = fx.artifact.clone();
-        bumped.format_version = FORMAT_VERSION + 1;
-        let err = ModelArtifact::from_json(&bumped.to_json()).unwrap_err();
-        assert!(err.contains("unsupported format_version"), "{err}");
+        // A future layout, and the previous one: no older reader is kept.
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+            let mut other = fx.artifact.clone();
+            other.format_version = version;
+            let err = ModelArtifact::from_json(&other.to_json()).unwrap_err();
+            assert!(err.contains("unsupported format_version"), "{err}");
+        }
     }
 
     #[test]
     fn rejects_inconsistent_shapes() {
         let fx = trained_fixture(33);
-        let mut bad = fx.artifact.clone();
-        bad.slave_weights = Matrix::zeros(1, bad.slave_weights.cols());
-        let err = ModelArtifact::from_json(&bad.to_json()).unwrap_err();
-        assert!(err.contains("slave_weights"), "{err}");
+        let a = &fx.artifact;
+        let (n, m) = (a.num_companies(), a.slave_weights.cols());
+        let with_b_acr = |b_acr| ModelSnapshot { b_acr, ..a.snapshot.clone() };
+        let cases = [
+            ("slave_weights", ModelArtifact { slave_weights: Matrix::zeros(1, m), ..a.clone() }),
+            ("last_good", ModelArtifact { last_good: Matrix::zeros(n + 1, 1), ..a.clone() }),
+            (
+                "b_acr is",
+                ModelArtifact { snapshot: with_b_acr(Some(Matrix::zeros(m + 1, 1))), ..a.clone() },
+            ),
+            ("no b_acr", ModelArtifact { snapshot: with_b_acr(None), ..a.clone() }),
+        ];
+        for (want, bad) in cases {
+            let err = ModelArtifact::from_json(&bad.to_json()).unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]
-    fn rejects_a_mask_that_disagrees_with_the_graph() {
-        // Hand edits that keep every shape right: the tape would walk
-        // the mask's edges and the engine the graph's.
+    #[should_panic(expected = "not the graph the model was fit on")]
+    fn export_refuses_a_graph_the_model_was_not_fit_on() {
         let fx = trained_fixture(35);
-        let n = fx.artifact.num_companies();
-        let missing = (0..n).find(|&j| !fx.artifact.graph.has_edge(0, j)).expect("a non-edge");
-
-        let mut added = fx.artifact.clone();
-        added.snapshot.mask.as_mut().expect("fitted mask")[(0, missing)] = 1.0;
-        let err = ModelArtifact::from_json(&added.to_json()).unwrap_err();
-        assert!(err.contains("mask and graph disagree"), "{err}");
-
-        let mut dropped = fx.artifact.clone();
-        let rows: Vec<Vec<u32>> = (0..n)
+        let graph = &fx.artifact.graph;
+        let rows: Vec<Vec<u32>> = (0..graph.num_nodes())
             .map(|i| {
-                let row = fx.artifact.graph.neighbors(i);
+                let row = graph.neighbors(i);
                 if i == 0 {
                     row[1..].to_vec()
                 } else {
@@ -396,15 +400,17 @@ mod tests {
                 }
             })
             .collect();
-        dropped.graph = CompanyGraph::from_adjacency(rows);
-        let err = ModelArtifact::from_json(&dropped.to_json()).unwrap_err();
-        assert!(err.contains("mask and graph disagree"), "{err}");
-
-        // The same edges with a different nonzero weight are one graph.
-        let mut reweighted = fx.artifact.clone();
-        let mask = reweighted.snapshot.mask.as_mut().expect("fitted mask");
-        *mask = mask.map(|m| m * 2.0);
-        assert!(ModelArtifact::from_json(&reweighted.to_json()).is_ok());
+        let a = &fx.artifact;
+        ModelArtifact::export(
+            &a.name,
+            a.version,
+            &fx.model,
+            &CompanyGraph::from_adjacency(rows),
+            a.standardizer.as_ref(),
+            &a.feature_names,
+            &a.reference_features,
+            a.provenance.clone(),
+        );
     }
 
     #[test]
@@ -416,15 +422,35 @@ mod tests {
     #[test]
     fn export_populates_fallback() {
         let fx = trained_fixture(34);
-        let fb = fx.artifact.fallback.as_ref().expect("fitted model exports a fallback");
-        assert_eq!(fb.anchor.cols(), 1);
-        assert_eq!(fb.anchor.rows(), fx.artifact.slave_weights.cols());
-        assert_eq!(fb.last_good.rows(), fx.artifact.num_companies());
+        let engine = crate::Engine::new(fx.artifact.clone()).unwrap();
+        let fb = engine.fallback();
+        // Bit for bit: the anchor is the snapshot's B_acr, and last-good
+        // is the engine's batch path at the reference features.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let b_acr = fx.artifact.snapshot.b_acr.as_ref().expect("fitted B_acr");
+        assert_eq!(fb.anchor.shape(), (fx.artifact.slave_weights.cols(), 1));
+        assert_eq!(bits(&fb.anchor), bits(b_acr));
+        let batch = engine.predict_batch(&fx.artifact.reference_features).unwrap();
+        assert_eq!(fb.last_good.shape(), (fx.artifact.num_companies(), 1));
+        assert_eq!(bits(&fb.last_good), bits(&batch));
         assert!(fb.last_good.as_slice().iter().all(|v| v.is_finite()));
         // The ladder always yields a finite number, whatever it's fed.
         assert!(fb.predict(Some(0), None).is_finite());
         assert!(fb.predict(None, Some(&vec![f64::NAN; fb.anchor.rows()])).is_finite());
         assert!(fb.predict(Some(usize::MAX), None).is_finite());
+    }
+
+    #[test]
+    fn fallback_mean_skips_non_finite_rows() {
+        let fb = |last_good: Vec<f64>| FallbackModel {
+            anchor: Matrix::zeros(2, 1),
+            last_good: Matrix::from_vec(last_good.len(), 1, last_good),
+        };
+        // The last rung averages the finite predictions only: a NaN row
+        // neither counts nor pulls the mean toward zero.
+        assert_eq!(fb(vec![1.0, f64::NAN, 2.0]).predict(None, None), 1.5);
+        assert_eq!(fb(vec![1.0, 3.0]).predict(Some(7), None), 2.0);
+        assert_eq!(fb(vec![f64::NAN, f64::INFINITY]).predict(None, None), 0.0);
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub struct Engine {
     plan64: ForwardPlan<f64>,
     /// The weights quantized to f32 once, at load time.
     plan32: ForwardPlan<f32>,
-    /// Degraded-mode predictor, always resolved: taken from the
-    /// artifact when present, rebuilt from the snapshot otherwise.
+    /// Degraded-mode predictor: the snapshot's `B_acr` and the
+    /// artifact's last-good predictions.
     fallback: FallbackModel,
 }
 
@@ -91,34 +91,16 @@ impl Engine {
     /// Validate an artifact and prepare it for scoring.
     pub fn new(artifact: ModelArtifact) -> Result<Self, String> {
         artifact.validate()?;
-        let plan64 = ForwardPlan::from_artifact(&artifact)?;
-        let plan32 = artifact.quantize_f32()?;
-        let placeholder = FallbackModel {
-            anchor: artifact
-                .snapshot
-                .b_acr
-                .clone()
-                .unwrap_or_else(|| Matrix::zeros(artifact.slave_weights.cols(), 1)),
-            last_good: Matrix::zeros(artifact.num_companies(), 1),
+        let plan64 = ForwardPlan::from_artifact(&artifact);
+        let plan32 = artifact.quantize_f32();
+        let fallback = FallbackModel {
+            anchor: artifact.snapshot.b_acr.clone().ok_or("artifact: snapshot has no b_acr")?,
+            last_good: artifact.last_good.clone(),
         };
-        let from_artifact = artifact.fallback.clone();
-        let mut engine = Self { artifact, plan64, plan32, fallback: placeholder };
-        match from_artifact {
-            Some(fb) => engine.fallback = fb,
-            None => {
-                // Pre-fallback artifact: materialize last-good
-                // predictions once, at load time, from the engine's own
-                // batch path at the export-time reference features.
-                let reference = engine.artifact.reference_features.clone();
-                if let Ok(pred) = engine.predict_batch(&reference) {
-                    engine.fallback.last_good = pred;
-                }
-            }
-        }
-        Ok(engine)
+        Ok(Self { artifact, plan64, plan32, fallback })
     }
 
-    /// The degraded-mode predictor (never absent; see [`Engine::new`]).
+    /// The degraded-mode predictor.
     pub fn fallback(&self) -> &FallbackModel {
         &self.fallback
     }
@@ -664,7 +646,7 @@ mod tests {
             let x = &fx.artifact.reference_features;
             let mut on_par = fx.artifact.snapshot.clone();
             on_par.config.backend = Some("par:2".into());
-            let tape_par = AmsModel::from_snapshot(on_par);
+            let tape_par = AmsModel::from_snapshot(on_par, &fx.artifact.graph);
             for tape in [&fx.model, &tape_par] {
                 let want = tape.predict(x);
                 assert_bits_eq(&want, &engine.predict_batch(x).unwrap(), name);
@@ -816,22 +798,6 @@ mod tests {
         let got = engine.predict_batch_with(x, &par, &mut ws).unwrap();
         for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
             assert_eq!(w.to_bits(), g.to_bits());
-        }
-    }
-
-    #[test]
-    fn fallback_is_rebuilt_for_pre_fallback_artifacts() {
-        let fx = trained_fixture(48);
-        let with = Engine::new(fx.artifact.clone()).unwrap();
-        let mut stripped = fx.artifact.clone();
-        stripped.fallback = None;
-        let without = Engine::new(stripped).unwrap();
-        // Rebuilt last-good predictions equal the exported ones bitwise
-        // (both are the batch path at the reference features).
-        let (a, b) = (&with.fallback().last_good, &without.fallback().last_good);
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

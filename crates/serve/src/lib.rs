@@ -5,9 +5,9 @@
 //! unit:
 //!
 //! * [`artifact`] — versioned, serde-serializable [`ModelArtifact`]
-//!   (weights, anchored LR, materialized per-company slave weights,
-//!   standardization stats, CSR correlation graph, provenance), with
-//!   the format version checked on load;
+//!   (weights, anchored LR, materialized per-company slave weights and
+//!   last-good predictions, standardization stats, CSR correlation
+//!   graph, provenance), with the format version checked on load;
 //! * [`engine`] — [`Engine`], a tape-free forward-only scorer: the
 //!   exact arithmetic of `AmsModel::predict` on plain matrices, with a
 //!   single-company dot-product fast path;

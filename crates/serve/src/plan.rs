@@ -131,7 +131,8 @@ pub struct ForwardPlan<E: Element> {
     /// transform, GAT heads, generator, β_c.
     pub weights: Vec<Plane<E>>,
     /// The company graph's edges, which graph attention walks; derived
-    /// once, at load time (serialized plans still carry the dense mask).
+    /// once, at load time (serialized f32 plans carry them as a dense
+    /// 0/1 mask).
     pub edges: EdgeList,
     /// 0/1 projection from full feature space to slave columns
     /// (`d×m`), `None` when the slave model uses every column.
@@ -141,20 +142,17 @@ pub struct ForwardPlan<E: Element> {
 impl<E: Element> ForwardPlan<E> {
     /// Freeze an artifact's weights into `E`. For `E = f64` this is an
     /// exact copy; for `E = f32` it is the quantization step.
-    pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, String> {
+    pub fn from_artifact(artifact: &ModelArtifact) -> Self {
         let snap = &artifact.snapshot;
-        if snap.mask.is_none() {
-            return Err("artifact has no adjacency mask (corrupt snapshot)".to_string());
-        }
         let d = artifact.feature_width();
-        Ok(Self {
+        Self {
             width: d,
             companies: artifact.num_companies(),
             arch: Arch::new(snap, E::from_f64),
             weights: snap.params().into_iter().map(|(_, w, _)| Plane::from_matrix(w)).collect(),
             edges: edge_list(&artifact.graph),
             selection: snap.config.slave_selection(d).as_ref().map(Plane::from_matrix),
-        })
+        }
     }
 }
 
@@ -356,7 +354,7 @@ mod tests {
     #[test]
     fn f64_plan_copies_weights_exactly() {
         let fx = trained_fixture(71);
-        let plan: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let plan: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact);
         let snap = &fx.artifact.snapshot;
         let want: Vec<_> = snap.params().into_iter().map(|(_, w, _)| w).collect();
         assert_eq!(plan.weights.len(), want.len());
@@ -370,8 +368,8 @@ mod tests {
     #[test]
     fn f32_plan_is_nearest_rounding() {
         let fx = trained_fixture(72);
-        let p64: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
-        let p32: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let p64: ForwardPlan<f64> = ForwardPlan::from_artifact(&fx.artifact);
+        let p32: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact);
         for (a, b) in p64.weights.iter().zip(&p32.weights) {
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!((*x as f32).to_bits(), y.to_bits());
@@ -383,7 +381,7 @@ mod tests {
     #[test]
     fn bytes_round_trip_is_exact() {
         let fx = trained_fixture(73);
-        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact);
         let bytes = plan.to_bytes();
         let back = ForwardPlan::from_bytes(&bytes).unwrap();
         assert_eq!(back.width, plan.width);
@@ -397,7 +395,7 @@ mod tests {
     #[test]
     fn every_truncation_errors_never_panics() {
         let fx = trained_fixture(74);
-        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact);
         let bytes = plan.to_bytes();
         for len in 0..bytes.len() {
             assert!(
@@ -410,7 +408,7 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_rejected() {
         let fx = trained_fixture(75);
-        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact);
         let mut bytes = plan.to_bytes();
         bytes[8] = PLAN32_VERSION + 1;
         assert!(ForwardPlan::from_bytes(&bytes).unwrap_err().contains("version"));
@@ -423,7 +421,7 @@ mod tests {
         // The mask plane is the graph's edge list on disk: its values
         // must be exactly 0 or 1 to decode into edges and back.
         let fx = trained_fixture(76);
-        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact).unwrap();
+        let plan: ForwardPlan<f32> = ForwardPlan::from_artifact(&fx.artifact);
         let n = plan.companies;
         let selection = plan.selection.as_ref().map_or(0, |s| 8 + 4 * s.len());
         let mut bytes = plan.to_bytes();

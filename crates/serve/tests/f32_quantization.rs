@@ -71,7 +71,7 @@ proptest! {
         flip_bits in 1i32..256,
     ) {
         let plan: ForwardPlan<f32> =
-            ForwardPlan::from_artifact(base_artifact()).expect("quantize");
+            ForwardPlan::from_artifact(base_artifact());
         let mut bytes = plan.to_bytes();
         let cut = cut.min(bytes.len());
         bytes.truncate(cut);
@@ -92,7 +92,7 @@ proptest! {
 fn decoded_plan_predicts_identically_to_in_memory_plan() {
     let artifact = base_artifact().clone();
     let engine = Engine::new(artifact.clone()).unwrap();
-    let bytes = artifact.quantize_f32().unwrap().to_bytes();
+    let bytes = artifact.quantize_f32().to_bytes();
     let decoded = ForwardPlan::from_bytes(&bytes).unwrap();
     // Same weights bit-for-bit → the engine's f32 path with its own
     // plan is the ground truth for the decoded copy.
@@ -116,7 +116,7 @@ fn decoded_plan_predicts_identically_to_in_memory_plan() {
 #[test]
 fn plan32_bytes_match_the_pinned_fixture() {
     let pinned = include_bytes!("fixtures/plan32_demo77.bin");
-    let bytes = base_artifact().quantize_f32().unwrap().to_bytes();
+    let bytes = base_artifact().quantize_f32().to_bytes();
     assert_eq!(bytes.len(), pinned.len(), "AMSPLN32 length moved");
     assert!(bytes == pinned, "AMSPLN32 bytes moved");
     let decoded = ForwardPlan::from_bytes(pinned).unwrap();

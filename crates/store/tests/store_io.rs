@@ -85,6 +85,20 @@ fn point_lookup_reads_only_that_companys_block() {
     fs::remove_file(&path).ok();
 }
 
+/// Exact byte proxy for the store read a paper fold starts with: the
+/// transaction panel, 16 companies per block, read whole. A change to
+/// the encoding or to what `read_panel` touches moves this number.
+#[test]
+fn paper_panel_read_costs_exactly_its_bytes() {
+    let panel = generate(&SynthConfig::transaction_paper(3)).panel;
+    let path = temp_store("paperbytes");
+    write_panel(&path, &panel, 16).expect("write");
+    let mut reader = StoreReader::open(&path).expect("open");
+    reader.read_panel().expect("read");
+    assert_eq!(reader.bytes_read(), 52_981, "store bytes read by read_panel");
+    fs::remove_file(&path).ok();
+}
+
 #[test]
 fn streamed_write_equals_panel_write() {
     // The bounded-memory streaming path and the in-memory panel path
