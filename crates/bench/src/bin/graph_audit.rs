@@ -75,7 +75,7 @@ fn main() -> ExitCode {
     println!("{:<32} {:>7} {:>7} {:>7} {:>7}", "Variant", "nodes", "params", "errors", "warns");
     let mut failed = false;
     for (name, config) in variants {
-        let mut model = AmsModel::new(config);
+        let model = AmsModel::new(config);
         let audit = model.training_audit(&graph, &train);
         let nodes = audit.plan.len();
         let n_params = audit.params.len();

@@ -440,6 +440,22 @@ impl AmsModel {
             .expect("anchored LR solve failed")
     }
 
+    /// Phase 1, the anchored LR `B_acr` (Eq. 5), and phase 2's starting
+    /// point: fresh layers drawn from `rng`, with both slave components
+    /// warm-started at the anchored LR — the generator's output bias and
+    /// the global assembly β_c start at `B_acr`, so epoch 0 reproduces
+    /// the anchored model exactly. Returns `B_acr`.
+    fn warm_start(&mut self, train: &[QuarterBatch], d: usize, rng: &mut StdRng) -> Matrix {
+        let b_acr = self.fit_anchored(train, d);
+        self.state.b_acr = Some(b_acr.clone());
+        self.build_params(d, rng);
+        self.state.beta_c = b_acr.clone();
+        if let Some(last) = self.state.gen.last_mut() {
+            last.b = b_acr.t();
+        }
+        b_acr
+    }
+
     /// Record one full-batch training step on `g`: parameter inputs,
     /// per-quarter forward passes, and the Γ_master objective (Eq. 11)
     /// — data term, supervised-generation pull toward `b_acr`, and L2.
@@ -514,35 +530,22 @@ impl AmsModel {
     }
 
     /// Export one epoch's training graph for static analysis without
-    /// running any optimizer step. On an untrained model this performs
-    /// phase 1 and seeds phase-2 parameters first (exactly as `fit`
-    /// would, so a subsequent `fit` is unaffected); on a fitted model
+    /// running any optimizer step. On an untrained model, phase 1 and
+    /// the phase-2 seed run on a scratch copy, exactly as `fit` would
+    /// run them, and the model itself stays untrained; on a fitted model
     /// the current parameters are used and left untouched. The recorded
     /// tape — including dropout nodes when `dropout > 0` — is the same
     /// graph the epoch loop trains on.
-    pub fn training_audit(
-        &mut self,
-        graph: &CompanyGraph,
-        train: &[QuarterBatch],
-    ) -> TrainingAudit {
+    pub fn training_audit(&self, graph: &CompanyGraph, train: &[QuarterBatch]) -> TrainingAudit {
         let (d, edges) = Self::check_fit_inputs(graph, train);
-        let b_acr = match &self.state.b_acr {
-            Some(b) => b.clone(),
-            None => {
-                let b = self.fit_anchored(train, d);
-                self.state.b_acr = Some(b.clone());
-                b
-            }
-        };
-        if self.state.gen.is_empty() {
-            let mut rng = StdRng::seed_from_u64(self.state.config.seed);
-            self.build_params(d, &mut rng);
-            self.state.beta_c = b_acr.clone();
-            if let Some(last) = self.state.gen.last_mut() {
-                last.b = b_acr.t();
-            }
+        if let Some(b_acr) = &self.state.b_acr {
+            return self.audit_tape(train, &edges, b_acr, &self.param_list());
         }
-        self.audit_tape(train, &edges, &b_acr, &self.param_list())
+        let mut scratch =
+            Self { state: self.state.clone(), backend: Arc::clone(&self.backend), edges: None };
+        let mut rng = StdRng::seed_from_u64(self.state.config.seed);
+        let b_acr = scratch.warm_start(train, d, &mut rng);
+        scratch.audit_tape(train, &edges, &b_acr, &scratch.param_list())
     }
 
     /// One epoch's training tape on `params`, recorded with its own
@@ -642,20 +645,10 @@ impl AmsModel {
         // validation predictions below can run.
         self.edges = Some(Arc::clone(&edges));
 
-        // Phase 1: anchored LR (Eq. 5).
-        let b_acr = self.fit_anchored(train, d);
-        self.state.b_acr = Some(b_acr.clone());
-
-        // Phase 2: Adam on Γ_master (Eq. 11).
+        // Phase 1, then phase 2 (Adam on Γ_master, Eq. 11) from its
+        // warm start.
         let mut rng = StdRng::seed_from_u64(self.state.config.seed);
-        self.build_params(d, &mut rng);
-        // Warm-start both slave components at the anchored LR: the
-        // generator's output bias and the global assembly β_c start at
-        // B_acr, so epoch 0 reproduces the anchored model exactly.
-        self.state.beta_c = b_acr.clone();
-        if let Some(last) = self.state.gen.last_mut() {
-            last.b = b_acr.t();
-        }
+        let b_acr = self.warm_start(train, d, &mut rng);
 
         let mut params = self.param_list();
         let mut adam = Adam::new(self.state.config.lr);
@@ -1235,7 +1228,7 @@ mod tests {
             ..Default::default()
         });
         let audit = model.training_audit(&task.graph, &task.train);
-        assert_eq!(audit.params.len(), model.param_names().len());
+        let names: Vec<String> = audit.params.iter().map(|(_, n)| n.clone()).collect();
         assert!(audit.params.iter().any(|(_, n)| n == "beta_c"));
         assert!(audit.params.iter().any(|(_, n)| n == "gat[0].head[0].a_left"));
         assert!(audit.loss < audit.plan.len());
@@ -1246,8 +1239,12 @@ mod tests {
             loss: Some(audit.loss),
         });
         assert!(!report.has_errors(), "{}", report.render_text());
-        // Auditing an untrained model must not perturb a later fit.
+        // Auditing an untrained model leaves it untrained, and does not
+        // perturb a later fit.
+        assert!(model.snapshot().b_acr.is_none());
+        assert!(model.fitted_edges().is_none());
         model.fit(&task.graph, &task.train);
+        assert_eq!(names, model.param_names(), "the audit names the parameters fit trains");
         let mut fresh = AmsModel::new(AmsConfig {
             epochs: 10,
             slave_cols: Some(vec![0, 1]),
@@ -1275,7 +1272,7 @@ mod tests {
             })
             .collect();
         let config = AmsConfig { slave_cols: Some((0..40).collect()), ..Default::default() };
-        let mut model = AmsModel::new(config);
+        let model = AmsModel::new(config);
         let audit = model.training_audit(&CompanyGraph::complete(n), &train);
         assert_eq!(audit.plan.len(), 305);
         let attention = audit.plan.nodes.iter().filter(|node| node.op.name() == "graph_attention");

@@ -1,8 +1,7 @@
 //! A graph's edges in CSR form, the structure graph attention walks.
 //!
-//! [`EdgeList`] is derived once from whatever the caller holds — a
-//! company graph's adjacency rows or a dense 0/1 mask — and then read
-//! by [`crate::kernels::graph_attention`] and its backward on every
+//! [`EdgeList`] is derived once from a graph's adjacency rows and then
+//! read by [`crate::kernels::graph_attention`] and its backward on every
 //! pass. Each row's neighbours are kept strictly ascending: the
 //! attention kernels accumulate over a row in that order, which is the
 //! column order of the dense masked softmax they replace, so the order
@@ -45,20 +44,6 @@ impl EdgeList {
             offsets.push(cols.len());
         }
         Ok(Self { offsets, cols })
-    }
-
-    /// The nonzero cells of a row-major `n×n` mask: exactly the cells
-    /// the dense masked softmax attended over.
-    pub fn from_mask<E: Element>(mask: &[E], n: usize) -> Self {
-        assert_eq!(mask.len(), n * n, "EdgeList::from_mask: mask is not {n}x{n}");
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut cols = Vec::new();
-        for row in mask.chunks_exact(n.max(1)).take(n) {
-            cols.extend((0..n as u32).filter(|&j| row[j as usize] != E::ZERO));
-            offsets.push(cols.len());
-        }
-        Self { offsets, cols }
     }
 
     /// The dense row-major `n×n` 0/1 mask of these edges.
@@ -112,16 +97,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_round_trips_through_the_edge_list() {
-        let mask = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0];
-        let edges = EdgeList::from_mask(&mask, 3);
+    fn rows_round_trip_through_the_mask() {
+        let rows: [&[u32]; 3] = [&[0, 2], &[], &[1, 2]];
+        let edges = EdgeList::from_rows(rows).unwrap();
         assert_eq!((edges.nodes(), edges.len(), edges.isolated()), (3, 4, 1));
         assert_eq!(edges.row(0), &[0, 2]);
         assert!(edges.row(1).is_empty());
         assert_eq!(edges.first_edge(2), 2);
-        assert_eq!(edges.to_mask::<f64>(), mask);
-        let rows: [&[u32]; 3] = [&[0, 2], &[], &[1, 2]];
-        assert_eq!(EdgeList::from_rows(rows).unwrap(), edges);
+        assert_eq!(edges.to_mask::<f64>(), [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -137,7 +120,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_no_nodes() {
-        let edges = EdgeList::from_mask::<f64>(&[], 0);
+        let edges = EdgeList::from_rows(std::iter::empty::<&[u32]>()).unwrap();
         assert_eq!((edges.nodes(), edges.len(), edges.isolated()), (0, 0, 0));
         assert!(edges.to_mask::<f32>().is_empty());
     }

@@ -536,7 +536,13 @@ mod tests {
     }
 
     /// A 3-node graph: node 0 sees {0, 2}, node 1 nothing, node 2
-    /// {1, 2}; `wh` is 3×2.
+    /// {1, 2}.
+    fn small_graph() -> EdgeList {
+        let rows: [&[u32]; 3] = [&[0, 2], &[], &[1, 2]];
+        EdgeList::from_rows(rows).unwrap()
+    }
+
+    /// Attention over [`small_graph`]; `wh` is 3×2.
     fn small_attention(edges: &EdgeList) -> Attention<'_, f64> {
         const S_L: [f64; 3] = [0.5, -1.0, 2.0];
         const S_R: [f64; 3] = [1.0, 0.25, -3.0];
@@ -546,7 +552,7 @@ mod tests {
 
     #[test]
     fn attention_softmaxes_over_each_rows_edges() {
-        let edges = EdgeList::from_mask(&[1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 3);
+        let edges = small_graph();
         let at = small_attention(&edges);
         let mut alpha = [0.0; 4];
         let mut out = [0.0; 6];
@@ -563,7 +569,7 @@ mod tests {
 
     #[test]
     fn attention_matches_the_dense_oracle_bitwise() {
-        let edges = EdgeList::from_mask(&[1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 3);
+        let edges = small_graph();
         let at = small_attention(&edges);
         let (mut alpha, mut out) = ([0.0; 4], [0.0; 6]);
         graph_attention(at, &mut alpha, &mut out);
@@ -592,7 +598,8 @@ mod tests {
         // wh row 1 is infinite but node 0 does not attend to node 1:
         // the aggregation never reads it, as the dense α·Wh product
         // skipped the masked α = 0.
-        let edges = EdgeList::from_mask(&[1.0, 0.0, 0.0, 1.0], 2);
+        let rows: [&[u32]; 2] = [&[0], &[1]];
+        let edges = EdgeList::from_rows(rows).unwrap();
         let wh = [2.0, f64::INFINITY];
         let at =
             Attention { edges: &edges, s_l: &[0.0; 2], s_r: &[0.0; 2], wh: &wh, f: 1, slope: 0.2 };

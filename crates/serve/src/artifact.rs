@@ -311,8 +311,7 @@ impl ModelArtifact {
     /// Quantize the forward-pass weights to f32 (DESIGN.md §14): every
     /// parameter rounded once, at export/load time, to the nearest f32.
     /// The result is the plan the engine's mixed-precision batch path
-    /// executes, and it serializes standalone via
-    /// [`crate::plan::ForwardPlan::to_bytes`].
+    /// executes.
     pub fn quantize_f32(&self) -> crate::plan::ForwardPlan<f32> {
         crate::plan::ForwardPlan::from_artifact(self)
     }

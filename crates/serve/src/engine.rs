@@ -105,11 +105,6 @@ impl Engine {
         &self.fallback
     }
 
-    /// The quantized f32 plan this engine scores the f32 path with.
-    pub fn plan_f32(&self) -> &ForwardPlan<f32> {
-        &self.plan32
-    }
-
     /// Score through the fallback ladder. `features` (full-width, may
     /// be `None` or non-finite) is projected to slave space here; the
     /// result is always finite — this path cannot fail.

@@ -1,14 +1,13 @@
-//! Property tests for the f32 quantization path (DESIGN.md §14):
+//! Tests for the f32 quantization path (DESIGN.md §14):
 //!
 //! * quantize → predict stays within the documented epsilon of the f64
 //!   batch path, on randomly perturbed models *and* random inputs —
 //!   not just the one artifact the unit tests pin;
-//! * decoding a truncated or bit-flipped serialized f32 plan returns
-//!   `Err` (or a valid plan, for flips that land in payload floats) —
-//!   it never panics and never aborts on a forged allocation.
+//! * the demo model's quantized weights, edges and selection still
+//!   match, bit for bit, the ones pinned in `fixtures/plan32_demo77.bin`.
 
 use ams_serve::demo::train_demo;
-use ams_serve::plan::ForwardPlan;
+use ams_serve::plan::Plane;
 use ams_serve::{Engine, ModelArtifact};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -60,65 +59,90 @@ proptest! {
             );
         }
     }
+}
 
-    /// A serialized plan, truncated at a random point and with a
-    /// random byte flipped, decodes to `Err` or a valid plan — never a
-    /// panic. (Flips in the float payload can legally decode.)
-    #[test]
-    fn corrupt_plan_bytes_never_panic(
-        cut in 0usize..4096,
-        flip_at in 0usize..4096,
-        flip_bits in 1i32..256,
-    ) {
-        let plan: ForwardPlan<f32> =
-            ForwardPlan::from_artifact(base_artifact());
-        let mut bytes = plan.to_bytes();
-        let cut = cut.min(bytes.len());
-        bytes.truncate(cut);
-        if !bytes.is_empty() {
-            let at = flip_at % bytes.len();
-            bytes[at] ^= flip_bits as u8;
+/// A reader for the pinned fixture's fixed layout (integers
+/// little-endian):
+///
+/// ```text
+/// magic[8] | version u8 | residual u8 | has_selection u8
+/// width u32 | companies u32 | nt u32 | gat u32 | gen u32
+/// gamma f32 | gamma_c f32
+/// nt × (plane w, plane b)
+/// gat × (heads u32, leaky_slope f32, heads × (plane w, a_left, a_right))
+/// gen × (plane w, plane b)
+/// plane beta_cᵀ (1×m) | plane mask | [plane selection]
+/// ```
+///
+/// where plane = rows u32 | cols u32 | rows·cols × f32. Reads past the
+/// end panic, which fails the test.
+struct Pinned<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Pinned<'_> {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let b = self.bytes[self.pos..self.pos + N].try_into().unwrap();
+        self.pos += N;
+        b
+    }
+
+    fn u32(&mut self) -> usize {
+        u32::from_le_bytes(self.take()) as usize
+    }
+
+    fn f32_bits(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    /// A plane as its shape and the bits of its values.
+    fn plane(&mut self) -> (usize, usize, Vec<u32>) {
+        let (rows, cols) = (self.u32(), self.u32());
+        (rows, cols, (0..rows * cols).map(|_| self.f32_bits()).collect())
+    }
+}
+
+fn bits(p: &Plane<f32>) -> (usize, usize, Vec<u32>) {
+    (p.rows(), p.cols(), p.as_slice().iter().map(|v| v.to_bits()).collect())
+}
+
+/// `plan32_demo77.bin` pins the demo model's quantized f32 plan: every
+/// weight (β_c under its 1×m header), the graph as a dense 0/1 mask and
+/// the slave selection. A refactor of the training or quantization path
+/// must not move a bit of them.
+#[test]
+fn pinned_fixture_holds_the_quantized_demo_plan() {
+    let plan = base_artifact().quantize_f32();
+    let arch = &plan.arch;
+    let mut r = Pinned { bytes: include_bytes!("fixtures/plan32_demo77.bin"), pos: 0 };
+    assert_eq!(&r.take::<8>(), b"AMSPLN32");
+    assert_eq!(r.take(), [1, arch.residual as u8, plan.selection.is_some() as u8]);
+    let header = [r.u32(), r.u32(), r.u32(), r.u32(), r.u32()];
+    assert_eq!(header, [plan.width, plan.companies, arch.nt, arch.gat.len(), arch.gen]);
+    assert_eq!([r.f32_bits(), r.f32_bits()], [arch.gamma.to_bits(), arch.gamma_c.to_bits()]);
+    let mut weights = plan.weights.iter().map(bits);
+    for _ in 0..2 * arch.nt {
+        assert_eq!(r.plane(), weights.next().unwrap(), "node-transform weight");
+    }
+    for layer in &arch.gat {
+        assert_eq!(r.u32(), layer.heads);
+        assert_eq!(r.f32_bits(), layer.leaky_slope.to_bits());
+        for _ in 0..3 * layer.heads {
+            assert_eq!(r.plane(), weights.next().unwrap(), "GAT weight");
         }
-        // The property is totality: decode returns, whatever the bytes.
-        // (A flip in a length field plus a lucky truncation point could
-        // in principle still parse, so we assert "no panic", not Err.)
-        let _ = ForwardPlan::from_bytes(&bytes);
     }
-}
-
-/// Quantize → serialize → decode → predict: the decoded plan is the
-/// plan the engine scores with, end to end.
-#[test]
-fn decoded_plan_predicts_identically_to_in_memory_plan() {
-    let artifact = base_artifact().clone();
-    let engine = Engine::new(artifact.clone()).unwrap();
-    let bytes = artifact.quantize_f32().to_bytes();
-    let decoded = ForwardPlan::from_bytes(&bytes).unwrap();
-    // Same weights bit-for-bit → the engine's f32 path with its own
-    // plan is the ground truth for the decoded copy.
-    let in_memory = engine.plan_f32();
-    assert_eq!(decoded.width, in_memory.width);
-    assert_eq!(decoded.companies, in_memory.companies);
-    assert_eq!(decoded.arch, in_memory.arch);
-    assert_eq!(decoded.weights.len(), in_memory.weights.len());
-    for (i, (a, b)) in decoded.weights.iter().zip(&in_memory.weights).enumerate() {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "weight {i} shape");
-        let (a, b) = (a.as_slice().iter(), b.as_slice().iter());
-        assert!(a.map(|v| v.to_bits()).eq(b.map(|v| v.to_bits())), "weight {i} bits");
+    for _ in 0..2 * arch.gen {
+        assert_eq!(r.plane(), weights.next().unwrap(), "generator weight");
     }
-    assert_eq!(decoded.edges, in_memory.edges);
-    assert_eq!(decoded.selection, in_memory.selection);
-}
-
-/// The `AMSPLN32` bytes of the demo model's f32 plan, pinned: the
-/// layout is a shipping format, so a refactor of the plan must not
-/// move a byte of it.
-#[test]
-fn plan32_bytes_match_the_pinned_fixture() {
-    let pinned = include_bytes!("fixtures/plan32_demo77.bin");
-    let bytes = base_artifact().quantize_f32().to_bytes();
-    assert_eq!(bytes.len(), pinned.len(), "AMSPLN32 length moved");
-    assert!(bytes == pinned, "AMSPLN32 bytes moved");
-    let decoded = ForwardPlan::from_bytes(pinned).unwrap();
-    assert!(decoded.to_bytes() == pinned, "from_bytes → to_bytes does not round-trip");
+    let (m, one, beta_c) = weights.next().unwrap();
+    assert_eq!((one, weights.next()), (1, None), "β_c is the last weight, an m×1 column");
+    assert_eq!(r.plane(), (1, m, beta_c), "β_c");
+    let n = plan.companies;
+    let mask = plan.edges.to_mask::<f32>().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(r.plane(), (n, n, mask), "graph mask");
+    if let Some(sel) = &plan.selection {
+        assert_eq!(r.plane(), bits(sel), "selection");
+    }
+    assert_eq!(r.pos, r.bytes.len(), "trailing bytes");
 }

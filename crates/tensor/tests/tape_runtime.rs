@@ -24,8 +24,9 @@ fn every_op(g: &mut Graph) -> ([Var; LEAVES], Var) {
     let a2 = g.input(Matrix::col_vector(&[-0.2, 0.5]));
     let wb = g.input(mat(4, 4, |r, c| if r == c { 0.5 } else { 0.05 }));
     let y = g.input(Matrix::col_vector(&[0.2, -0.1, 0.4, 0.0]));
-    let mask = mat(4, 4, |r, c| f64::from(r == c || (r + c) % 3 == 0));
-    let edges = Arc::new(EdgeList::from_mask(mask.as_slice(), 4));
+    // Node i sees j when i == j or (i + j) % 3 == 0.
+    let rows: [&[u32]; 4] = [&[0, 3], &[1, 2], &[1, 2], &[0, 3]];
+    let edges = Arc::new(EdgeList::from_rows(rows).unwrap());
     let keep = mat(4, 4, |r, c| if (r * 4 + c) % 5 == 0 { 0.0 } else { 1.25 });
 
     let h = g.matmul(x, w);

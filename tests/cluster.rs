@@ -52,6 +52,13 @@ fn connect(addr: SocketAddr) -> JsonlConn {
     JsonlConn::connect(addr, &Timeouts::uniform(Duration::from_secs(20))).expect("connect")
 }
 
+/// One request/response round trip, the reply parsed as JSON.
+fn round_trip(conn: &mut JsonlConn, request: &str) -> serde::Value {
+    let mut buf = String::new();
+    conn.round_trip_into(request, &mut buf).expect("round trip");
+    serde_json::from_str(buf.trim()).expect("reply is JSON")
+}
+
 fn predict_request(artifact: &ModelArtifact, company: usize) -> String {
     let row: Vec<String> =
         artifact.reference_features.row(company).iter().map(|v| format!("{v}")).collect();
@@ -82,7 +89,7 @@ fn router_matches_single_shard_bitwise() {
     let mut conn = connect(router.local_addr());
 
     // health speaks the shard protocol (loadgen-compatible).
-    let health = conn.round_trip_value(r#"{"type":"health"}"#).unwrap();
+    let health = round_trip(&mut conn, r#"{"type":"health"}"#);
     assert_eq!(health.get("ok").and_then(serde::Value::as_bool), Some(true));
     assert_eq!(health.get("status").and_then(serde::Value::as_str), Some("healthy"));
     let models = health.get("models").and_then(serde::Value::as_array).unwrap();
@@ -90,7 +97,7 @@ fn router_matches_single_shard_bitwise() {
 
     // Routed single predicts are bit-exact against a local engine.
     for company in 0..artifact.num_companies() {
-        let resp = conn.round_trip_value(&predict_request(artifact, company)).unwrap();
+        let resp = round_trip(&mut conn, &predict_request(artifact, company));
         assert_eq!(
             resp.get("ok").and_then(serde::Value::as_bool),
             Some(true),
@@ -104,7 +111,7 @@ fn router_matches_single_shard_bitwise() {
     }
 
     // slave_weights passes through to the owning shard.
-    let resp = conn.round_trip_value(r#"{"type":"slave_weights","company":0}"#).unwrap();
+    let resp = round_trip(&mut conn, r#"{"type":"slave_weights","company":0}"#);
     assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(true));
     assert_eq!(
         resp.get("weights").and_then(serde::Value::as_array).map(<[serde::Value]>::len),
@@ -114,8 +121,8 @@ fn router_matches_single_shard_bitwise() {
     // Batch fan-out/fan-in merges to exactly what one shard answers.
     let mut direct = connect(addr_a);
     let batch = batch_request(artifact);
-    let via_router = conn.round_trip_value(&batch).unwrap();
-    let via_shard = direct.round_trip_value(&batch).unwrap();
+    let via_router = round_trip(&mut conn, &batch);
+    let via_shard = round_trip(&mut direct, &batch);
     assert_eq!(via_router.get("ok").and_then(serde::Value::as_bool), Some(true));
     assert_ne!(via_router.get("degraded").and_then(serde::Value::as_bool), Some(true));
     let merged = via_router.get("predictions").and_then(serde::Value::as_array).unwrap();
@@ -127,9 +134,9 @@ fn router_matches_single_shard_bitwise() {
     }
 
     // Errors stay per-request and typed.
-    let resp = conn.round_trip_value("this is not json").unwrap();
+    let resp = round_trip(&mut conn, "this is not json");
     assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(false));
-    let resp = conn.round_trip_value(r#"{"type":"flarp"}"#).unwrap();
+    let resp = round_trip(&mut conn, r#"{"type":"flarp"}"#);
     assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(false));
 
     drop(conn);
@@ -159,7 +166,7 @@ fn dead_group_yields_typed_degraded_not_errors() {
     // Two passes so the second pass exercises the tripped breaker too.
     for pass in 0..2 {
         for company in 0..artifact.num_companies() {
-            let resp = conn.round_trip_value(&predict_request(artifact, company)).unwrap();
+            let resp = round_trip(&mut conn, &predict_request(artifact, company));
             assert_eq!(
                 resp.get("ok").and_then(serde::Value::as_bool),
                 Some(true),
@@ -193,7 +200,7 @@ fn dead_group_yields_typed_degraded_not_errors() {
 
     // The batch still answers: live slice exact, dead slice from the
     // local fallback ladder — a partial answer, never a batch error.
-    let resp = conn.round_trip_value(&batch_request(artifact)).unwrap();
+    let resp = round_trip(&mut conn, &batch_request(artifact));
     assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(true));
     assert_eq!(resp.get("degraded").and_then(serde::Value::as_bool), Some(true));
     assert_eq!(
@@ -234,13 +241,13 @@ fn replica_failover_stays_exact() {
     // Warm both replicas, then kill one: answers stay exact, none
     // degrade — the surviving replica absorbs everything.
     for company in 0..artifact.num_companies().min(8) {
-        let resp = conn.round_trip_value(&predict_request(artifact, company)).unwrap();
+        let resp = round_trip(&mut conn, &predict_request(artifact, company));
         assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(true));
     }
     shard_a.shutdown();
     for pass in 0..3 {
         for company in 0..artifact.num_companies() {
-            let resp = conn.round_trip_value(&predict_request(artifact, company)).unwrap();
+            let resp = round_trip(&mut conn, &predict_request(artifact, company));
             assert_eq!(
                 resp.get("ok").and_then(serde::Value::as_bool),
                 Some(true),
@@ -287,7 +294,7 @@ fn faulty_replica_is_quarantined_then_readmitted_by_probes() {
     let mut company = 0usize;
     while !tripped(&router) {
         assert!(Instant::now() < deadline, "breaker never opened on the truncating replica");
-        let resp = conn.round_trip_value(&predict_request(artifact, company)).unwrap();
+        let resp = round_trip(&mut conn, &predict_request(artifact, company));
         assert_eq!(
             resp.get("ok").and_then(serde::Value::as_bool),
             Some(true),
@@ -314,7 +321,7 @@ fn faulty_replica_is_quarantined_then_readmitted_by_probes() {
     );
 
     // And it serves exactly again.
-    let resp = conn.round_trip_value(&predict_request(artifact, 0)).unwrap();
+    let resp = round_trip(&mut conn, &predict_request(artifact, 0));
     assert_eq!(resp.get("ok").and_then(serde::Value::as_bool), Some(true));
 
     drop(conn);
